@@ -19,7 +19,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import calculus, farey, invariants, slides
+from . import slides
 from .calculus import (
     BoundaryCircles,
     ClosedPage,
@@ -172,7 +172,11 @@ def _cmd_farey_classify(args) -> int:
 def _cmd_farey_atlas(args) -> int:
     max_den = args.max_den
     if max_den is None:
-        max_den = int(os.environ.get("TRISECT_MAX_DEN", "10"))
+        env = os.environ.get("TRISECT_MAX_DEN", "10")
+        try:
+            max_den = int(env)
+        except ValueError:
+            raise DiagramError(f"TRISECT_MAX_DEN={env!r}: expected an integer") from None
     if max_den < 0:
         raise DiagramError("max denominator must be >= 0")
     rows = list(atlas_rows(max_den))
@@ -183,8 +187,11 @@ def _cmd_farey_atlas(args) -> int:
         writer.writerow(row)
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise DiagramError(f"cannot write {args.out}: {e}") from None
         _emit(args, [f"wrote {len(rows)} rows to {args.out}"],
               {"max_den": max_den, "rows": len(rows), "out": args.out})
     else:

@@ -460,6 +460,8 @@ def parse_diagram(text: str) -> StarDiagram:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise DiagramError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DiagramError("JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise DiagramError("top level: expected an object")
     for key in raw:

@@ -48,8 +48,6 @@ def euler_char(p: TrisectionParams) -> int:
 def handle_counts(p: TrisectionParams) -> Tuple[int, int, int, int, int]:
     """(1, k1, g - k2, k3, 1); alternating sum equals euler_char."""
     _require_closed_with_k(p)
-    if p.k[1] > p.genus:
-        raise DiagramError(f"k2 = {p.k[1]} exceeds genus {p.genus}")
     return (1, p.k[0], p.genus - p.k[1], p.k[2], 1)
 
 

@@ -4,6 +4,13 @@ and factorization in SL3(Z).
 Matrices are plain lists of lists of Python ints (row major), so every
 computation is arbitrary-precision exact.  Nothing here rounds.
 
+There are two Smith form kernels.  `smith_diagonal` computes the
+diagonal alone: it eliminates +-1 pivots on sparse rows first and runs the
+general rule only on the unit-free block that is left.  `cokernel_invariants`
+(and so H1 of a diagram) goes through it.  `smith_normal_form` also builds
+the unimodular transforms U and V; it serves callers that need them and is
+the reference the fast kernel is tested against.
+
 The SL3 word alphabet consists of the three quarter-turn matrices
 
     s12 = [[0,-1,0],[1,0,0],[0,0,1]]
@@ -211,11 +218,129 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
             row_add(t, culprit, 1)
         if t < r and t < c and s[t][t] < 0:
             row_neg(t)
-    # sign fix for any trailing negative (cannot occur, but keep S canonical)
-    for t in range(n):
-        if s[t][t] < 0:
-            row_neg(t)
     return u, s, v
+
+
+def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
+    """The diagonal of the Smith normal form of m, without U and V.
+
+    Equal to [S[i][i] for i in range(min(rows, cols))] where S is the
+    middle factor of `smith_normal_form(m)`.  Two phases:
+
+    1. Unit pivots on sparse rows.  While an entry is +-1, take one from
+       the row with the fewest nonzeros (within it, from the column with
+       the fewest) and clear its column with row operations, a Schur
+       complement step.  The column operations that would clear the pivot
+       row then change that row only, so the row is dropped and a
+       diagonal 1 emitted.
+    2. On the unit-free remainder, `smith_normal_form`'s pivot rule
+       (smallest magnitude, then the divisibility fix-up) with no
+       transforms kept.
+
+    Validates m like `smith_normal_form` does.
+    """
+    check_int_matrix(m)
+    r, c = dims(m)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    rows = [row for row in rows if row]
+    counts = [0] * c  # nonzeros per column
+    for row in rows:
+        for j in row:
+            counts[j] += 1
+    ones = 0
+    while True:
+        pivot = _unit_pivot(rows, counts)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        prow = rows.pop(pi)
+        sign = prow[pj]
+        for j in prow:
+            counts[j] -= 1
+        for row in rows:
+            x = row.get(pj)
+            if x is None:
+                continue
+            f = x * sign  # row -= f * prow zeroes row[pj]
+            for j, y in prow.items():
+                old = row.get(j, 0)
+                z = old - f * y
+                if z:
+                    row[j] = z
+                    if not old:
+                        counts[j] += 1
+                else:
+                    del row[j]
+                    counts[j] -= 1
+        rows = [row for row in rows if row]
+        ones += 1
+    cols = sorted({j for row in rows for j in row})
+    block = [[row.get(j, 0) for j in cols] for row in rows]
+    diag = [1] * ones + _dense_diagonal(block)
+    return diag + [0] * (min(r, c) - len(diag))
+
+
+def _unit_pivot(rows: List[dict], counts: List[int]) -> Optional[Tuple[int, int]]:
+    """(row index, column) of a +-1 entry in the shortest row that has one,
+    in the column with the fewest nonzeros; None if no entry is +-1."""
+    best = None
+    for i, row in enumerate(rows):
+        if best is not None and len(row) >= best[0]:
+            continue
+        units = [j for j, x in row.items() if x == 1 or x == -1]
+        if units:
+            best = (len(row), i, min(units, key=counts.__getitem__))
+    return None if best is None else best[1:]
+
+
+def _dense_diagonal(s: IntMatrix) -> List[int]:
+    """Nonzero Smith diagonal of s (modified in place), by the pivot rule of
+    `smith_normal_form` with no transforms kept."""
+    r, c = dims(s)
+    diag: List[int] = []
+    for t in range(min(r, c)):
+        while True:
+            pi = pj = -1
+            best = None
+            for i in range(t, r):
+                row = s[i]
+                for j in range(t, c):
+                    x = abs(row[j])
+                    if x and (best is None or x < best):
+                        best, pi, pj = x, i, j
+            if best is None:
+                return diag
+            s[t], s[pi] = s[pi], s[t]
+            if pj != t:
+                for row in s[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+            top = s[t]
+            p = top[t]
+            dirty = False
+            for i in range(t + 1, r):
+                row = s[i]
+                if row[t]:
+                    q = row[t] // p
+                    s[i] = row = [a - q * b for a, b in zip(row, top)]
+                    if row[t]:
+                        dirty = True
+            for j in range(t + 1, c):
+                if top[j]:
+                    q = top[j] // p
+                    for row in s[t:]:
+                        row[j] -= q * row[t]
+                    if top[j]:
+                        dirty = True
+            if dirty:
+                continue
+            culprit = next(
+                (i for i in range(t + 1, r) if any(x % p for x in s[i][t + 1:])), None
+            )
+            if culprit is None:
+                break
+            s[t] = [a + b for a, b in zip(top, s[culprit])]
+        diag.append(abs(s[t][t]))
+    return diag
 
 
 @dataclass(frozen=True)
@@ -227,17 +352,10 @@ class CokernelInvariants:
 
 def cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
     """Free rank and torsion factors (>1) of Z^rows / col-span(m)."""
-    check_int_matrix(m)
-    r, c = dims(m)
-    if r == 0:
-        return CokernelInvariants(0, ())
-    if c == 0:
-        return CokernelInvariants(r, ())
-    _, s, _ = smith_normal_form(m)
-    diag = [s[i][i] for i in range(min(r, c))]
+    diag = smith_diagonal(m)
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d > 1)
-    return CokernelInvariants(r - rank, torsion)
+    return CokernelInvariants(len(m) - rank, torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ def run(capsys):
     return _run
 
 
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
 CP2_FILE = json.dumps({
     "basis": "e1 f1", "genus": 1, "boundary": 0,
     "alpha": [[1, 0]], "beta": [[0, 1]], "gamma": [[1, 1]],
@@ -73,6 +78,26 @@ class TestExitCodes:
     def test_reduce_full_without_lambda_is_2(self, run):
         code, _, _ = run("slide", "reduce-full", "--w3", "MM")
         assert code == 2
+
+    def test_non_integer_max_den_env_is_1(self, run, monkeypatch):
+        monkeypatch.setenv("TRISECT_MAX_DEN", "abc")
+        code, out, err = run("farey-atlas")
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "TRISECT_MAX_DEN" in err
+
+    def test_atlas_out_into_missing_directory_is_1(self, run, tmp_path):
+        target = tmp_path / "missing" / "atlas.csv"
+        code, out, err = run("farey-atlas", "--max-den", "1", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "cannot write" in err
+        assert not target.parent.exists()
+
+    def test_deeply_nested_diagram_is_1(self, run, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run("validate", str(path))
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "nested" in err
 
 
 class TestVerbs:

@@ -64,6 +64,11 @@ class TestEulerAndHandles:
     def test_handle_examples(self, lit, handles):
         assert handle_counts(parse_params(lit)) == handles
 
+    def test_k_above_genus_refused_at_construction(self):
+        # closed parameters never reach handle_counts with k_i > g
+        with pytest.raises(DiagramError):
+            parse_params("3;1,4,1")
+
     def test_boundary_refused(self):
         p = parse_params("3;1,1,1;2")
         with pytest.raises(BoundaryNotSupported):

@@ -1,0 +1,192 @@
+"""Differential tests for the diagonal-only Smith kernel.
+
+`smith_diagonal` must agree with the diagonal of `smith_normal_form` (the
+reference that also builds U and V) and with sympy's Smith form, on random
+matrices and on block sums of Farey homology models whose H1 is known in
+closed form.
+"""
+
+import random
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trisect import zmatrix
+from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice
+from trisect.farey import enumerate_triples, farey_homology_model
+from trisect.invariants import first_homology
+from trisect.zmatrix import dims, smith_diagonal, smith_normal_form
+
+# every entry +-1 or 0, and no entry +-1 at all (forces the general pivots)
+UNITS = st.sampled_from((-1, 0, 1))
+UNIT_FREE = st.sampled_from((0, 2, -2, 3, -3, 6, -6))
+# a*x + b*y is never +-1 for x, y in UNIT_FREE and a, b drawn from here
+COEFFS = st.sampled_from((-3, -2, 2, 3))
+
+
+@st.composite
+def matrices(draw, entries=st.integers(-9, 9)):
+    """Small matrices, empty shapes included, often rank-deficient and with
+    zero rows and columns."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and draw(st.booleans()):
+        a, b = draw(COEFFS), draw(COEFFS)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    if rows and draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [0] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def reference_diagonal(m):
+    _, s, _ = smith_normal_form(m)
+    return [s[i][i] for i in range(min(dims(m)))]
+
+
+def sympy_factors(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    ref = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+    return sorted(abs(int(x)) for x in ref.diagonal() if x != 0)
+
+
+def check_kernel(m):
+    diag = smith_diagonal(m)
+    assert diag == reference_diagonal(m)
+    if m and m[0]:
+        assert [d for d in diag if d] == sympy_factors(m)
+    return diag
+
+
+class TestRandomMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_general(self, m):
+        check_kernel(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(UNITS))
+    def test_all_unit(self, m):
+        check_kernel(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(UNIT_FREE))
+    def test_unit_free(self, m):
+        assert all(abs(x) != 1 for row in m for x in row)
+        check_kernel(m)
+
+    def test_empty_shapes(self):
+        assert smith_diagonal([]) == []
+        assert smith_diagonal([[], []]) == []
+        assert smith_diagonal([[0, 0, 0]]) == [0]
+
+    def test_divisibility_fix_up(self):
+        # diag(2, 3) has no unit entry; its Smith form is diag(1, 6)
+        assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+        assert smith_diagonal([[4, 0, 0], [0, 6, 0], [0, 0, 0]]) == [2, 12, 0]
+
+    def test_validates_input(self):
+        with pytest.raises(ValueError):
+            smith_diagonal([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            smith_diagonal([[True]])
+
+
+# --- block sums of Farey homology models ----------------------------------
+#
+# Each genus-3 block has H1 = Z/gcd(p1, p2, p3) over the denominators of its
+# triple (Z when all three are 1/0).  Symplectic transvections
+# T(x) = x + s * (x . v) * v preserve every pairing and map the span of the
+# curves by an automorphism of Z^(2g), so the block sum keeps the direct
+# sum of the blocks' H1.
+
+TRIPLES = [t for t, _ in enumerate_triples(3)]
+
+
+def invariant_factors(orders):
+    """Invariant factors (> 1) of the sum of cyclic groups Z/n, n >= 1."""
+    d = sorted(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(x for x in d if x > 1)
+
+
+def block_sum(triples, mixes):
+    """Block-sum diagram of the triples' homology models, then one
+    transvection per (v, s) in mixes applied to every curve."""
+    genus = 3 * len(triples)
+    lattice = SymplecticLattice(genus)
+    systems = {name: [] for name in SYSTEM_NAMES}
+    for b, t in enumerate(triples):
+        model = farey_homology_model(t)
+        for name in SYSTEM_NAMES:
+            for cls in model.system(name).classes:
+                vec = [0] * (2 * genus)
+                vec[6 * b:6 * b + 6] = cls
+                systems[name].append(vec)
+    for v, s in mixes:
+        for name in SYSTEM_NAMES:
+            for vec in systems[name]:
+                a = s * lattice.pair(vec, v)
+                for j, y in enumerate(v):
+                    vec[j] += a * y
+    curves = {name: CurveSystem(name, tuple(map(tuple, systems[name])))
+              for name in SYSTEM_NAMES}
+    return StarDiagram(genus=genus, boundary=0, **curves)
+
+
+def expected_h1(triples):
+    orders = [gcd(gcd(t.x.den, t.y.den), t.z.den) for t in triples]
+    return orders.count(0), invariant_factors([n for n in orders if n])
+
+
+def random_mixes(rng, genus, count):
+    mixes = []
+    for _ in range(count):
+        v = [0] * (2 * genus)
+        for j in rng.sample(range(2 * genus), 3):
+            v[j] = rng.choice((-1, 1))
+        mixes.append((v, rng.choice((-1, 1))))
+    return mixes
+
+
+def curve_matrix(d):
+    classes = d.all_classes()
+    return [[vec[row] for vec in classes] for row in range(2 * d.genus)]
+
+
+class TestBlockSums:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(TRIPLES), min_size=1, max_size=4), st.randoms())
+    def test_matches_references_and_closed_form(self, triples, rng):
+        d = block_sum(triples, random_mixes(rng, 3 * len(triples), 6 * len(triples)))
+        check_kernel(curve_matrix(d))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
+
+    def test_genus_60(self):
+        rng = random.Random(60)
+        triples = [rng.choice(TRIPLES) for _ in range(20)]
+        d = block_sum(triples, random_mixes(rng, 60, 120))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
+
+    def test_h1_does_not_use_smith_normal_form(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("smith_normal_form called on the H1 path")
+
+        monkeypatch.setattr(zmatrix, "smith_normal_form", refuse)
+        triples = TRIPLES[:3]
+        d = block_sum(triples, random_mixes(random.Random(1), 9, 18))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
