@@ -8,10 +8,15 @@ permutation blocks act by the plain coordinate transpositions; all signs
 live in the shear blocks, since every rotation [[0,-1],[1,0]] is itself a
 legal SL2 payload.  ShearGlue(f) fixes the third coordinate and acts by f
 on the first two.
+
+Each builder states the composite it is after (m for a general plan,
+1 + A for a log transform, the (m, n) shear for a Luttinger twist) and
+parse_plan states the file's COMPOSITE line; SurgeryPlan construction is
+the one place that composite is checked against the block product.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diagram import CurveSystem, StarDiagram, TrisectionParams
 from .errors import (
@@ -20,7 +25,7 @@ from .errors import (
     DiagramError,
     NotSL2,
 )
-from .zmatrix import Gen, IntMatrix, identity, mat_mul, sl3_factor, gen_matrix
+from .zmatrix import IntMatrix, identity, mat_mul, sl3_factor
 
 # ---------------------------------------------------------------------------
 # pasting and fiber sums
@@ -398,49 +403,33 @@ def block_matrix(b: PlanBlock) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SurgeryPlan:
+    """Blocks plus the composite their builder states; construction
+    raises DiagramError unless it equals the block product."""
     blocks: Tuple[PlanBlock, ...]
     composite: IntMatrix
 
     def __post_init__(self):
-        # composite is derived data; make_plan is the only sanctioned builder
-        prod = _blocks_product(self.blocks)
+        prod = identity(3)
+        for b in self.blocks:
+            prod = mat_mul(prod, block_matrix(b))
         if prod != self.composite:
-            raise DiagramError("plan composite does not equal the block product")
+            raise DiagramError(
+                f"stated composite {self.composite} does not match block product {prod}"
+            )
 
 
-def _blocks_product(blocks: Iterable[PlanBlock]) -> IntMatrix:
-    acc = identity(3)
-    for b in blocks:
-        acc = mat_mul(acc, block_matrix(b))
-    return acc
-
-
-def make_plan(blocks: Sequence[PlanBlock]) -> SurgeryPlan:
-    blocks = tuple(blocks)
-    return SurgeryPlan(blocks, _blocks_product(blocks))
-
-
-def _gen_blocks(g: Gen) -> List[PlanBlock]:
-    """Blocks realizing one SL3 generator.
-
-    The plane rotations embed directly as shear payloads in coordinates
-    (1,2); the other two planes are reached by conjugating with the
-    transposition that swaps the fixed coordinate into slot 3.
-    """
-    if g.kind == "e":
-        return [shear_block(((1, g.k), (0, 1)))]
-    table = {
-        "s12": [shear_block(_ROT)],
-        "s12i": [shear_block(_ROT_INV)],
-        "s23": [TAU31, shear_block(_ROT_INV), TAU31],
-        "s23i": [TAU31, shear_block(_ROT), TAU31],
-        "s31": [TAU23, shear_block(_ROT_INV), TAU23],
-        "s31i": [TAU23, shear_block(_ROT), TAU23],
-    }
-    blocks = table[g.kind]
-    if _blocks_product(blocks) != gen_matrix(g):
-        raise AssertionError(f"generator conversion broken for {g}")
-    return blocks
+# Blocks realizing each SL3 rotation generator.  The plane rotations embed
+# directly as shear payloads in coordinates (1,2); the other two planes are
+# reached by conjugating with the transposition that swaps the fixed
+# coordinate into slot 3.  A shear Gen("e", k) is one shear block.
+_GEN_BLOCKS: Dict[str, Tuple[PlanBlock, ...]] = {
+    "s12": (shear_block(_ROT),),
+    "s12i": (shear_block(_ROT_INV),),
+    "s23": (TAU31, shear_block(_ROT_INV), TAU31),
+    "s23i": (TAU31, shear_block(_ROT), TAU31),
+    "s31": (TAU23, shear_block(_ROT_INV), TAU23),
+    "s31i": (TAU23, shear_block(_ROT), TAU23),
+}
 
 
 def surgery_plan_general(m: IntMatrix) -> SurgeryPlan:
@@ -449,26 +438,12 @@ def surgery_plan_general(m: IntMatrix) -> SurgeryPlan:
     word = sl3_factor(m)  # raises NotSL3 on bad input
     blocks: List[PlanBlock] = [COMPLEMENT, TAU0]
     for g in word.factors:
-        blocks.extend(_gen_blocks(g))
+        if g.kind == "e":
+            blocks.append(shear_block(((1, g.k), (0, 1))))
+        else:
+            blocks.extend(_GEN_BLOCKS[g.kind])
     blocks.append(TAUEMPTY)
-    plan = make_plan(blocks)
-    if plan.composite != [list(row) for row in m]:
-        raise AssertionError("surgery plan composite mismatch")
-    return plan
-
-
-def _check_sl2(a: Sequence[Sequence[int]]) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    rows = tuple(tuple(x for x in row) for row in a)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise NotSL2("need a 2x2 matrix")
-    for row in rows:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise NotSL2(f"entries must be integers, got {x!r}")
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if det != 1:
-        raise NotSL2(f"determinant must be 1, got {det}")
-    return rows
+    return SurgeryPlan(tuple(blocks), [list(row) for row in m])
 
 
 def log_transform_plan(a: Sequence[Sequence[int]]) -> SurgeryPlan:
@@ -479,23 +454,18 @@ def log_transform_plan(a: Sequence[Sequence[int]]) -> SurgeryPlan:
     coordinate swap 1<->3: with J = [[0,1],[1,0]], the identity
     P31 . (JAJ + 1) . P31 = 1 + A holds exactly.
     """
-    rows = _check_sl2(a)
-    jaj = ((rows[1][1], rows[1][0]), (rows[0][1], rows[0][0]))
-    plan = make_plan([COMPLEMENT, TAU0, TAU31, shear_block(jaj), TAU31, TAUEMPTY])
-    expected = [
-        [1, 0, 0],
-        [0, rows[0][0], rows[0][1]],
-        [0, rows[1][0], rows[1][1]],
-    ]
-    if plan.composite != expected:
-        raise AssertionError("log transform composite mismatch")
-    return plan
+    (a11, a12), (a21, a22) = shear_block(a).shear  # raises NotSL2 on bad input
+    jaj = PlanBlock("shear", ((a22, a21), (a12, a11)))  # det JAJ = det A = 1
+    return SurgeryPlan(
+        (COMPLEMENT, TAU0, TAU31, jaj, TAU31, TAUEMPTY),
+        [[1, 0, 0], [0, a11, a12], [0, a21, a22]],
+    )
 
 
 def luttinger_plan(m: int, n: int) -> SurgeryPlan:
     """Plan for the (m, n) torus twist; composite = [[1,0,m],[0,1,n],[0,0,1]]."""
-    plan = make_plan(
-        [
+    return SurgeryPlan(
+        (
             COMPLEMENT,
             TAU0,
             TAU23,
@@ -505,11 +475,9 @@ def luttinger_plan(m: int, n: int) -> SurgeryPlan:
             TAU31,
             TAU23,
             TAUEMPTY,
-        ]
+        ),
+        [[1, 0, m], [0, 1, n], [0, 0, 1]],
     )
-    if plan.composite != [[1, 0, m], [0, 1, n], [0, 0, 1]]:
-        raise AssertionError("twist composite mismatch")
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +544,4 @@ def parse_plan(text: str) -> SurgeryPlan:
             raise DiagramError(f"line {lineno}: unknown block {word!r}")
     if stated is None:
         raise DiagramError("plan has no COMPOSITE line")
-    plan = make_plan(blocks)
-    if plan.composite != stated:
-        raise DiagramError(
-            f"stated composite {stated} does not match block product {plan.composite}"
-        )
-    return plan
+    return SurgeryPlan(tuple(blocks), stated)

@@ -59,6 +59,11 @@ class Fraction:
         return f"{self.num}/{self.den}"
 
 
+def dmet(x: Fraction, y: Fraction) -> int:
+    """Farey distance: det of the column matrix ((a, c), (b, d))."""
+    return x.num * y.den - x.den * y.num
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse "a/b" (b = 0 only for the formal 1/0)."""
     parts = text.strip().split("/")
@@ -212,12 +217,10 @@ def _pair_systems(key: str) -> Tuple[str, str]:
     return a, b
 
 
-def validate_diagram(d: StarDiagram) -> List[Violation]:
-    """Full diagram report: cut systems, common-curve claims, geo sanity."""
-    lattice = d.lattice()
+def _claim_violations(d: StarDiagram) -> List[Violation]:
+    """Common-curve claims whose index is out of range or whose classes
+    differ, and geo entries naming a curve that does not exist."""
     out: List[Violation] = []
-    for name in SYSTEM_NAMES:
-        out.extend(validate_cut_system(d.system(name), lattice))
     for key, indices in d.common.items():
         sa, sb = _pair_systems(key)
         a, b = d.system(sa), d.system(sb)
@@ -231,11 +234,20 @@ def validate_diagram(d: StarDiagram) -> List[Violation]:
                         f"common.{key}: {sa}[{idx}] != {sb}[{idx}] though marked common",
                     )
                 )
-    for (sa, i, sb, j), count in d.geo.items():
+    for sa, i, sb, j in d.geo:
         for name, idx in ((sa, i), (sb, j)):
             if idx < 0 or idx >= len(d.system(name)):
                 out.append(Violation("geo", f"geo {name}.{idx}: index out of range"))
     return out
+
+
+def validate_diagram(d: StarDiagram) -> List[Violation]:
+    """Full diagram report: cut systems, common-curve claims, geo sanity."""
+    lattice = d.lattice()
+    out: List[Violation] = []
+    for name in SYSTEM_NAMES:
+        out.extend(validate_cut_system(d.system(name), lattice))
+    return out + _claim_violations(d)
 
 
 def diagram_ok(violations: Sequence[Violation]) -> bool:
@@ -397,7 +409,7 @@ def format_params(p: TrisectionParams) -> str:
 def genus1_pair_kind(x: Fraction, y: Fraction) -> str:
     """Kind of the genus-one diagram with slopes x, y: "S3", "S1xS2", or
     "Invalid" (pair distance outside {-1, 0, 1})."""
-    d = x.num * y.den - x.den * y.num
+    d = dmet(x, y)
     if d == 0:
         return "S1xS2"
     if abs(d) == 1:
@@ -495,15 +507,6 @@ def parse_diagram(text: str) -> StarDiagram:
                 raise DiagramError(f"common.{key}: expected a list of integers")
             if len(set(indices)) != len(indices):
                 raise DiagramError(f"common.{key}: duplicate index")
-            sa, sb = _pair_systems(key)
-            bound = min(len(systems[sa]), len(systems[sb]))
-            for idx in indices:
-                if idx < 0 or idx >= bound:
-                    raise DiagramError(f"common.{key}: index {idx} out of range")
-                if systems[sa].classes[idx] != systems[sb].classes[idx]:
-                    raise DiagramError(
-                        f"common.{key}: {sa}[{idx}] and {sb}[{idx}] differ"
-                    )
             common[key] = tuple(sorted(indices))
 
     geo: Dict[GeoKey, int] = {}
@@ -516,13 +519,9 @@ def parse_diagram(text: str) -> StarDiagram:
                 raise DiagramError(f"geo[{key!r}]: expected a nonnegative integer")
             if norm in geo:
                 raise DiagramError(f"geo[{key!r}]: duplicate pair after normalization")
-            sa, i, sb, j = norm
-            for name, idx in ((sa, i), (sb, j)):
-                if idx < 0 or idx >= len(systems[name]):
-                    raise DiagramError(f"geo[{key!r}]: {name}.{idx} out of range")
             geo[norm] = count
 
-    return StarDiagram(
+    d = StarDiagram(
         genus=genus,
         boundary=boundary,
         alpha=systems["alpha"],
@@ -531,6 +530,10 @@ def parse_diagram(text: str) -> StarDiagram:
         common=common,
         geo=geo,
     )
+    bad = _claim_violations(d)
+    if bad:
+        raise DiagramError(bad[0].message)
+    return d
 
 
 def serialize_diagram(d: StarDiagram) -> str:

@@ -11,7 +11,7 @@ symmetric form of the triple (three distinct fractions), a parity rule
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .diagram import CurveSystem, Fraction, StarDiagram
+from .diagram import CurveSystem, Fraction, StarDiagram, dmet
 from .errors import FormUndefined, NotNeighbors
 from .zmatrix import FormClass, IntMatrix, classify_unimodular, sym_form_invariants
 
@@ -60,11 +60,6 @@ class FareyClassification:
     manifold: Manifold
     refined: Optional[Tuple[str, str]]  # (T, S) with manifold = T # S
     form: Optional[FormClass]
-
-
-def dmet(x: Fraction, y: Fraction) -> int:
-    """Farey distance: det of the column matrix ((a, c), (b, d))."""
-    return x.num * y.den - x.den * y.num
 
 
 def triple_kind(t: FareyTriple) -> str:
@@ -145,10 +140,10 @@ def classify(t: FareyTriple) -> FareyClassification:
     # an odd permutation of the triple reverses orientation and flips the
     # signature of qx; classification fixes the sorted order as canonical
     canon = FareyTriple(*sorted(t, key=lambda f: (f.den, f.num)))
+    # the triplet form is odd, indefinite and of signature +-1, so it is
+    # odd_indefinite (2, 1) (signature +1) or (1, 2) (signature -1)
     form = classify_unimodular(qx(canon))
-    signature = sym_form_invariants(qx(canon)).signature
-    assert abs(signature) == 1, "Farey triplet form must have signature +-1"
-    if signature == 1:
+    if form.params == (2, 1):
         return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), form)
     return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), form)
 

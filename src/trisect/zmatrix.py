@@ -164,12 +164,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
         for row in v:
             row[i] += k * row[j]
 
-    def col_neg(i):
-        for row in s:
-            row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-
     n = min(r, c)
     for t in range(n):
         while True:
@@ -602,8 +596,9 @@ def sl3_factor(m: Sequence[Sequence[int]]) -> SL3Word:
         raise NotSL3(str(e)) from None
     if dims(m) != (3, 3):
         raise NotSL3(f"need a 3x3 matrix, got {dims(m)[0]}x{dims(m)[1]}")
-    if determinant(m) != 1:
-        raise NotSL3(f"determinant is {determinant(m)}, need 1")
+    det = determinant(m)
+    if det != 1:
+        raise NotSL3(f"determinant is {det}, need 1")
 
     a = mat_copy(m)
     hist: List[Gen] = []
@@ -651,8 +646,4 @@ def sl3_factor(m: Sequence[Sequence[int]]) -> SL3Word:
     row_add(1, 2, -a[1][2])
     row_add(0, 2, -a[0][2])
     row_add(0, 1, -a[0][1])
-    assert a == identity(3)
-
-    word = SL3Word(tuple(g.inverse() for g in hist))
-    assert word.product() == [list(r) for r in m]
-    return word
+    return SL3Word(tuple(g.inverse() for g in hist))

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisect.calculus import (
+    _GEN_BLOCKS,
     BoundaryCircles,
     ClosedPage,
     PastingInput,
     PlanBlock,
     RibbonGraph,
     SurgeryPlan,
+    block_matrix,
     curve_complement,
     destabilize,
     fiber_sum,
@@ -319,6 +321,39 @@ class TestPlans:
     def test_shear_block_rejects(self):
         with pytest.raises(NotSL2):
             shear_block(((2, 0), (0, 1)))
+
+    def test_mismatch_message_names_both_matrices(self):
+        plan = luttinger_plan(1, 2)
+        with pytest.raises(DiagramError) as err:
+            SurgeryPlan(plan.blocks, identity(3))
+        assert str(identity(3)) in str(err.value)
+        assert str([[1, 0, 1], [0, 1, 2], [0, 0, 1]]) in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["s12", "s23", "s31", "s12i", "s23i", "s31i"])
+    def test_gen_blocks_multiply_to_generator(self, kind):
+        prod = identity(3)
+        for b in _GEN_BLOCKS[kind]:
+            prod = mat_mul(prod, block_matrix(b))
+        assert prod == gen_matrix(Gen(kind))
+
+    @pytest.mark.parametrize("k", [-7, -1, 0, 1, 12])
+    def test_shear_block_is_shear_generator(self, k):
+        assert block_matrix(shear_block(((1, k), (0, 1)))) == gen_matrix(Gen("e", k))
+
+    @pytest.mark.parametrize("bad", [
+        ((1, 0, 0), (0, 1, 0)),      # not 2x2
+        ((1, 0), (0,)),              # ragged
+        ((1, 0.5), (0, 1)),          # non-integer entry
+        ((1, True), (0, 1)),         # bool is not an integer entry
+        ((1, 1), (1, 1)),            # det 0
+        ((2, 0), (0, 1)),            # det 2
+    ])
+    def test_log_transform_and_shear_block_share_sl2_check(self, bad):
+        with pytest.raises(NotSL2) as from_shear:
+            shear_block(bad)
+        with pytest.raises(NotSL2) as from_log:
+            log_transform_plan(bad)
+        assert str(from_log.value) == str(from_shear.value)
 
 
 class TestPlanSerialization:

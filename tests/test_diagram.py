@@ -195,6 +195,28 @@ class TestParseSerialize:
         text = serialize_diagram(parse_diagram(cp2_text()))
         assert serialize_diagram(parse_diagram(text)) == text
 
+    @pytest.mark.parametrize("common,geo", [
+        ({"alpha_beta": (0,)}, {}),                      # classes differ
+        ({"beta_gamma": (2,)}, {}),                      # index past the end
+        ({"gamma_alpha": (-1,)}, {}),                    # negative index
+        ({}, {("alpha", 0, "beta", 3): 1}),              # no beta[3]
+        ({}, {("alpha", -1, "gamma", 0): 0}),            # negative index
+        ({"alpha_beta": (1,)}, {("beta", 0, "gamma", 5): 2}),
+    ])
+    def test_parse_and_validate_agree_on_claims(self, common, geo):
+        d = StarDiagram(
+            genus=2, boundary=0,
+            alpha=CurveSystem("alpha", ((1, 0, 0, 0), (0, 0, 1, 0))),
+            beta=CurveSystem("beta", ((0, 1, 0, 0), (0, 0, 1, 0))),
+            gamma=CurveSystem("gamma", ((1, 1, 0, 0),)),
+            common=common, geo=geo,
+        )
+        violations = validate_diagram(d)
+        assert violations and violations[0].kind in ("common", "geo")
+        with pytest.raises(DiagramError) as err:
+            parse_diagram(serialize_diagram(d))
+        assert str(err.value) == violations[0].message
+
     def test_round_trip_with_common_and_geo(self):
         obj = {
             "basis": "e1 f1 e2 f2", "genus": 2, "boundary": 1,

@@ -46,6 +46,12 @@ class TestDmet:
         for x, y in [("1/2", "3/4"), ("1/0", "5/7"), ("0/1", "0/1")]:
             assert dmet(F(x), F(y)) == -dmet(F(y), F(x))
 
+    def test_one_definition(self):
+        import trisect
+        from trisect import diagram
+
+        assert dmet is diagram.dmet is trisect.dmet
+
 
 class TestTripleKind:
     @pytest.mark.parametrize("t,kind", [
@@ -126,6 +132,21 @@ class TestClassify:
                 kinds.add(cls.kind)
                 manifolds.add(str(cls.manifold))
             assert len(kinds) == 1 and len(manifolds) == 1
+
+    def test_triplet_sign_matches_form_signature(self):
+        # classify reads the sign off the form class; the eliminated
+        # signature of the canonically ordered triple is the reference
+        seen = set()
+        for t, cls in enumerate_triples(6):
+            if cls.kind != "FareyTriplet":
+                continue
+            canon = FareyTriple(*sorted(t, key=lambda f: (f.den, f.num)))
+            signature = sym_form_invariants(qx(canon)).signature
+            assert cls.form.kind == "odd_indefinite"
+            assert cls.form.params == ((2, 1) if signature == 1 else (1, 2))
+            assert cls.manifold == (CP2_PLUS if signature == 1 else CP2_MINUS)
+            seen.add(signature)
+        assert seen == {1, -1}
 
 
 class TestMediants:
