@@ -25,7 +25,7 @@ from .errors import (
     DiagramError,
     NotSL2,
 )
-from .zmatrix import IntMatrix, identity, mat_mul, sl3_factor
+from .zmatrix import IntMatrix, identity, sl3_factor
 
 # ---------------------------------------------------------------------------
 # pasting and fiber sums
@@ -389,6 +389,8 @@ def shear_block(f: Sequence[Sequence[int]]) -> PlanBlock:
 
 
 def block_matrix(b: PlanBlock) -> IntMatrix:
+    """The 3x3 matrix a block stands for; a plan's composite is the
+    left-to-right product of these."""
     if b.kind in ("complement", "tau0", "tauempty"):
         return identity(3)
     if b.kind == "tau12":
@@ -401,17 +403,33 @@ def block_matrix(b: PlanBlock) -> IntMatrix:
     return [[f[0][0], f[0][1], 0], [f[1][0], f[1][1], 0], [0, 0, 1]]
 
 
+# the two columns each transposition block swaps
+_SWAPS = {"tau12": (0, 1), "tau23": (1, 2), "tau31": (0, 2)}
+
+
 @dataclass(frozen=True)
 class SurgeryPlan:
     """Blocks plus the composite their builder states; construction
-    raises DiagramError unless it equals the block product."""
+    raises DiagramError unless it equals the block product.
+
+    The product is built column by column: right multiplication by a
+    block swaps two columns (tau12, tau23, tau31), mixes the first two
+    (a shear), or does nothing (the identity blocks)."""
     blocks: Tuple[PlanBlock, ...]
     composite: IntMatrix
 
     def __post_init__(self):
-        prod = identity(3)
+        cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         for b in self.blocks:
-            prod = mat_mul(prod, block_matrix(b))
+            if b.kind == "shear":
+                (p, q), (r, s) = b.shear
+                (x0, x1, x2), (y0, y1, y2) = cols[0], cols[1]
+                cols[0] = (p * x0 + r * y0, p * x1 + r * y1, p * x2 + r * y2)
+                cols[1] = (q * x0 + s * y0, q * x1 + s * y1, q * x2 + s * y2)
+            elif b.kind in _SWAPS:
+                i, j = _SWAPS[b.kind]
+                cols[i], cols[j] = cols[j], cols[i]
+        prod = [list(row) for row in zip(*cols)]
         if prod != self.composite:
             raise DiagramError(
                 f"stated composite {self.composite} does not match block product {prod}"
@@ -439,7 +457,7 @@ def surgery_plan_general(m: IntMatrix) -> SurgeryPlan:
     blocks: List[PlanBlock] = [COMPLEMENT, TAU0]
     for g in word.factors:
         if g.kind == "e":
-            blocks.append(shear_block(((1, g.k), (0, 1))))
+            blocks.append(PlanBlock("shear", ((1, g.k), (0, 1))))  # det 1 by shape
         else:
             blocks.extend(_GEN_BLOCKS[g.kind])
     blocks.append(TAUEMPTY)

@@ -402,15 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _error_line(e: TrisectError) -> str:
+    # messages may quote input that holds line breaks; stderr gets one line
+    return "error: " + "\\n".join(str(e).splitlines())
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except DiagramError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(_error_line(e), file=sys.stderr)
         return 1
     except TrisectError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(_error_line(e), file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,7 @@ data keyed by curve pairs.
 import json
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DiagramError, VectorLength
@@ -152,9 +153,12 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
             )
         if all(x == 0 for x in v):
             out.append(Violation("zero_class", f"{system.label}[{idx}] is null", advisory=True))
-    for i in range(len(system.classes)):
-        for j in range(i + 1, len(system.classes)):
-            p = lattice.pair(system.classes[i], system.classes[j])
+    # lattice.pair(u, v) is u . Jv; the lengths were checked above
+    classes = system.classes
+    duals = [[x for k in range(0, len(v), 2) for x in (v[k + 1], -v[k])] for v in classes]
+    for i, u in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            p = sum(map(mul, u, duals[j]))
             if p != 0:
                 out.append(
                     Violation(

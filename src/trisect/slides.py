@@ -8,6 +8,12 @@ run, trading all but the last lambda for twists of a2 around b1 (counter
 t1); the final lambda disappears into the closing isotopy, which is why
 t1 ends at n - 1.
 
+The shape of a reduction is fixed by the word alone: a mu with j lambdas
+before it costs j + 3 moves, so phase one takes 3m + inversions moves, and
+phase two n + 1 more.  The reducers therefore emit their traces and final
+states in closed form; apply_move is the checked engine that replay and
+trace_lines run every move through.
+
 Internally letters are "M" and "L"; input accepts the Greek forms too,
 and rendering emits them.
 """
@@ -19,10 +25,12 @@ from .errors import IllegalMove, MalformedWord, NotApplicable
 
 MU = "M"
 LAM = "L"
-_ALPHABET = frozenset((MU, LAM))
 
 _INPUT_LETTERS = {"M": MU, "m": MU, "μ": MU, "L": LAM, "l": LAM, "λ": LAM}
-_RENDER = {MU: "μ", LAM: "λ"}
+
+
+def _in_alphabet(word: str) -> bool:
+    return word.count(MU) + word.count(LAM) == len(word)
 
 
 def parse_word(text: str) -> str:
@@ -36,8 +44,14 @@ def parse_word(text: str) -> str:
     return "".join(out)
 
 
+def _greek(word: str) -> str:
+    return word.replace(MU, "μ").replace(LAM, "λ")
+
+
 def render_word(word: str) -> str:
-    return "".join(_RENDER[ch] for ch in word)
+    if not _in_alphabet(word):
+        raise MalformedWord(f"word {word!r} contains letters outside the alphabet")
+    return _greek(word)
 
 
 @dataclass(frozen=True)
@@ -51,7 +65,7 @@ class SlideState:
 
     def __post_init__(self):
         for w in (self.w1, self.w2, self.w3):
-            if not _ALPHABET.issuperset(w):
+            if not _in_alphabet(w):
                 raise MalformedWord(f"word {w!r} contains letters outside the alphabet")
 
     def counts(self) -> Tuple[int, int]:
@@ -118,6 +132,10 @@ class SlideMove:
         return self.kind if self.arg is None else f"{self.kind}({self.arg})"
 
 
+_CLOSE_MU_CYCLE = (SlideMove("SlideA1OverAlpha"), SlideMove("ShrinkA2"))
+_SLIDE_A2 = SlideMove("SlideA2OverBeta")
+
+
 def _illegal(mv: SlideMove, why: str) -> IllegalMove:
     return IllegalMove(f"{mv}: {why} [{mv.anchor}]")
 
@@ -175,42 +193,41 @@ def _require_initial(s: SlideState) -> None:
 
 
 def reduce_mu(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
-    """Phase one: eliminate every mu from w3, one four-step cycle each;
-    ends with w3 = lambda^n and t3 = m."""
+    """Phase one: eliminate every mu from w3, one cycle each; ends with
+    w3 = lambda^n and t3 = m.
+
+    A mu with j lambdas before it is pushed into w2 by ExtendB1(j + 1),
+    commuted to the front past those lambdas by CommuteLambdaMu(j - 1),
+    ..., CommuteLambdaMu(0), where it hops onto a1, slid off a1, and w2
+    shrinks back onto w3, which puts the j lambdas in front of the rest."""
     _require_initial(s)
+    m, n = s.target
+    # back_to_front[n - j:] commutes a mu from position j to the front
+    back_to_front = [SlideMove("CommuteLambdaMu", pos) for pos in range(n - 1, -1, -1)]
     trace: List[SlideMove] = []
-
-    def step(state: SlideState, mv: SlideMove) -> SlideState:
-        trace.append(mv)
-        return apply_move(state, mv)
-
-    while MU in s.w3:
-        j = s.w3.index(MU)
-        s = step(s, SlideMove("ExtendB1", j + 1))
-        for pos in range(j - 1, -1, -1):
-            s = step(s, SlideMove("CommuteLambdaMu", pos))
-        s = step(s, SlideMove("SlideA1OverAlpha"))
-        s = step(s, SlideMove("ShrinkA2"))
-    return s, trace
+    j = 0
+    for ch in s.w3:
+        if ch == LAM:
+            j += 1
+            continue
+        trace.append(SlideMove("ExtendB1", j + 1))
+        trace += back_to_front[n - j:]
+        trace += _CLOSE_MU_CYCLE
+    return SlideState("", "", LAM * n, m, 0, s.target), trace
 
 
 def reduce_full(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
     """Both phases: all words empty, t3 = m, t1 = n - 1.  Refuses n = 0:
-    the closing isotopy needs one lambda to absorb."""
+    the closing isotopy needs one lambda to absorb.  Phase two extends b1
+    over the whole lambda run and slides a2 over beta once per lambda."""
     _require_initial(s)
-    n = s.target[1]
+    m, n = s.target
     if n == 0:
         raise NotApplicable("reduction to empty words needs at least one lambda")
-    s, trace = reduce_mu(s)
-
-    def step(state: SlideState, mv: SlideMove) -> SlideState:
-        trace.append(mv)
-        return apply_move(state, mv)
-
-    s = step(s, SlideMove("ExtendB1", n))
-    for _ in range(n):
-        s = step(s, SlideMove("SlideA2OverBeta"))
-    return s, trace
+    _, trace = reduce_mu(s)
+    trace.append(SlideMove("ExtendB1", n))
+    trace += [_SLIDE_A2] * n
+    return SlideState("", "", "", m, n - 1, s.target), trace
 
 
 def replay(initial: SlideState, trace: List[SlideMove]) -> SlideState:
@@ -221,10 +238,8 @@ def replay(initial: SlideState, trace: List[SlideMove]) -> SlideState:
 
 
 def format_state(s: SlideState) -> str:
-    return (
-        f"w1={render_word(s.w1)} w2={render_word(s.w2)} "
-        f"w3={render_word(s.w3)} t3={s.t3} t1={s.t1}"
-    )
+    # a SlideState's words were checked against the alphabet when it was built
+    return f"w1={_greek(s.w1)} w2={_greek(s.w2)} w3={_greek(s.w3)} t3={s.t3} t1={s.t1}"
 
 
 def trace_lines(initial: SlideState, trace: List[SlideMove]) -> List[str]:

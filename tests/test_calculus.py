@@ -356,6 +356,57 @@ class TestPlans:
         assert str(from_log.value) == str(from_shear.value)
 
 
+IDENTITY_BLOCKS = [PlanBlock("complement"), PlanBlock("tau0"), PlanBlock("tauempty")]
+SWAP_BLOCKS = [PlanBlock("tau12"), PlanBlock("tau23"), PlanBlock("tau31")]
+
+
+@st.composite
+def sl2_payloads(draw):
+    """SL2 matrices: a product of up to three elementary shears with
+    entries up to 256 bits, or a rotation."""
+    m = ((1, 0), (0, 1))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(-(2 ** 256), 2 ** 256))
+        g = draw(st.sampled_from((((1, k), (0, 1)), ((1, 0), (k, 1)), ((0, -1), (1, 0)))))
+        m = tuple(
+            tuple(sum(m[i][t] * g[t][j] for t in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    return m
+
+
+plan_blocks = st.one_of(
+    st.sampled_from(IDENTITY_BLOCKS + SWAP_BLOCKS),
+    sl2_payloads().map(shear_block),
+)
+
+
+class TestBlockProduct:
+    """SurgeryPlan builds the block product by column operations; the
+    reference is the plain matrix product of block_matrix over the blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(plan_blocks, max_size=40), st.integers(0, 8), st.integers(1, 3))
+    def test_column_product_matches_matrix_product(self, blocks, cell, delta):
+        expect = identity(3)
+        for b in blocks:
+            expect = mat_mul(expect, block_matrix(b))
+        assert SurgeryPlan(tuple(blocks), expect).composite == expect
+        wrong = [row[:] for row in expect]
+        wrong[cell // 3][cell % 3] += delta
+        with pytest.raises(DiagramError) as err:
+            SurgeryPlan(tuple(blocks), wrong)
+        assert str(wrong) in str(err.value)
+        assert str(expect) in str(err.value)
+
+    def test_unit_shears_of_general_plan_are_sl2(self):
+        m = [[1, 5, 0], [0, 1, 0], [0, 0, 1]]
+        m = mat_mul(m, [[1, 0, 0], [0, 1, 0], [0, -3, 1]])
+        for b in surgery_plan_general(m).blocks:
+            if b.kind == "shear":
+                assert shear_block(b.shear) == b
+
+
 class TestPlanSerialization:
     def test_round_trip(self):
         for plan in [

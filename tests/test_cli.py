@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisect.cli import main
 
@@ -98,6 +103,12 @@ class TestExitCodes:
         code, out, err = run("validate", str(path))
         assert (code, out) == (1, "")
         assert one_error_line(err) and "nested" in err
+
+
+    def test_line_break_in_input_stays_on_one_error_line(self, run):
+        code, out, err = run("validate", "no\nsuch\rfile")
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "no\\nsuch\\nfile" in err
 
 
 class TestVerbs:
@@ -208,3 +219,64 @@ class TestAtlas:
         monkeypatch.setenv("TRISECT_MAX_DEN", "1")
         code, out, _ = run("farey-atlas", "--max-den", "0")
         assert len(out.splitlines()) == 2
+
+
+VERBS = ("validate", "invariants", "farey-classify", "farey-atlas", "paste", "fiber-sum",
+         "destab", "poke", "complement", "plan", "slide")
+FLAGS = ("--json", "--help", "--qx", "--trace", "--max-den", "--out", "--closed-page",
+         "--circles", "--common", "--bridge", "--sector", "--times", "--counts", "--arcs",
+         "--params", "--m", "--n", "--w3")
+VALUES = (
+    # integers stay small: --max-den and --counts cost grows with them
+    *(str(k) for k in range(-3, 8)),
+    "1/2", "2/3", "1/1", "0/1", "-1/3", "1/0", "x/2",
+    "1,2,3", "0,0,0", "-1,0,2", "1,1", "a,b,c",
+    "1;0,0,0", "2;1,1,1", "51;13,13,23", "3;1,1,1;2", "1;2,2,2", ";;",
+    "MML", "LLM", "μλλ", "mLl", "MX", "",
+    "luttinger", "log", "general", "reduce-mu", "reduce-full",
+)
+# file arguments, named by role; the test writes them before each example
+FILES = ("cp2.json", "invalid.json", "broken.json", "missing.json", "out.csv", ".")
+# free text without digits, so no drawn number can be large
+TEXT = st.text(alphabet=string.ascii_letters + " -/;,.\n\t[]{}μλ", max_size=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _write_inputs(root):
+    bad = json.loads(CP2_FILE)
+    bad["alpha"] = [[1, 0], [0, 1]]
+    (root / "cp2.json").write_text(CP2_FILE)
+    (root / "invalid.json").write_text(json.dumps(bad))
+    (root / "broken.json").write_text("{" + CP2_FILE)
+    (root / "missing.json").unlink(missing_ok=True)
+
+
+class TestArgvFuzz:
+    """Any argv ends in exit 0, 1 or 2 with stderr empty or one `error:`
+    line, never an uncaught exception."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        verb=st.one_of(st.sampled_from(VERBS), TEXT),
+        rest=st.lists(st.one_of(st.sampled_from(FLAGS), st.sampled_from(VALUES),
+                                st.sampled_from(FILES), TEXT), max_size=8),
+        max_den_env=st.sampled_from(("2", "0", "-1", "abc", "", " 3")),
+    )
+    def test_exit_codes_and_stderr(self, fuzz_dir, verb, rest, max_den_env):
+        _write_inputs(fuzz_dir)
+        argv = [verb] + [str(fuzz_dir / t) if t in FILES else t for t in rest]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(fuzz_dir)  # a drawn --out path lands here
+            mp.setenv("TRISECT_MAX_DEN", max_den_env)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as e:  # --help
+                    code = e.code
+        assert code in (0, 1, 2), argv
+        assert err.getvalue() == "" or one_error_line(err.getvalue()), (argv, err.getvalue())

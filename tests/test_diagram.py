@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisect.diagram import (
     BridgeData,
@@ -94,6 +96,30 @@ class TestCutSystem:
         # two copies of a dual pair always break the pairing
         bad = CurveSystem("alpha", ((1, 0), (0, 1)))
         assert validate_cut_system(bad, lat) != []
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda g: st.tuples(
+        st.just(g),
+        st.lists(st.lists(st.integers(-3, 3), min_size=2 * g, max_size=2 * g).map(tuple),
+                 max_size=6),
+    )))
+    def test_pairings_match_lattice_pair(self, case):
+        genus, classes = case
+        lat = SymplecticLattice(genus)
+        got = [v for v in validate_cut_system(CurveSystem("beta", tuple(classes)), lat)
+               if v.kind == "pairing"]
+        expect = [
+            f"beta[{i}] . beta[{j}] = {lat.pair(classes[i], classes[j])}, expected 0"
+            for i in range(len(classes)) for j in range(i + 1, len(classes))
+            if lat.pair(classes[i], classes[j]) != 0
+        ]
+        assert [v.message for v in got] == expect
+
+    def test_wrong_length_message(self):
+        with pytest.raises(VectorLength, match=r"^gamma\[1\]: length 3 != 4$"):
+            validate_cut_system(CurveSystem("gamma", ((1, 0, 0, 0), (1, 0, 0))),
+                                SymplecticLattice(2))
 
 
 class TestStandardPair:

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisect.errors import IllegalMove, MalformedWord, NotApplicable
 from trisect.slides import (
@@ -16,6 +18,50 @@ from trisect.slides import (
     replay,
     trace_lines,
 )
+
+
+def inversions(word):
+    """Pairs (lambda, mu) with the lambda first."""
+    lams = total = 0
+    for ch in word:
+        if ch == "L":
+            lams += 1
+        else:
+            total += lams
+    return total
+
+
+def stepwise_reduce_mu(s):
+    """The reducer as a move-by-move search through the checked engine:
+    find the first mu of w3, push it out, commute it to the front, slide
+    it off a1 and shrink a2 back, until no mu is left."""
+    trace = []
+
+    def step(state, mv):
+        trace.append(mv)
+        return apply_move(state, mv)
+
+    while "M" in s.w3:
+        j = s.w3.index("M")
+        s = step(s, SlideMove("ExtendB1", j + 1))
+        for pos in range(j - 1, -1, -1):
+            s = step(s, SlideMove("CommuteLambdaMu", pos))
+        s = step(s, SlideMove("SlideA1OverAlpha"))
+        s = step(s, SlideMove("ShrinkA2"))
+    return s, trace
+
+
+def stepwise_reduce_full(s):
+    n = s.target[1]
+    if n == 0:
+        raise NotApplicable("reduction to empty words needs at least one lambda")
+    s, trace = stepwise_reduce_mu(s)
+    trace.append(SlideMove("ExtendB1", n))
+    s = apply_move(s, trace[-1])
+    for _ in range(n):
+        trace.append(SlideMove("SlideA2OverBeta"))
+        s = apply_move(s, trace[-1])
+    return s, trace
 
 
 def shuffles(m, n):
@@ -34,6 +80,12 @@ class TestStateAndWords:
 
     def test_render(self):
         assert render_word("MLM") == "μλμ"
+        assert render_word("") == ""
+
+    @pytest.mark.parametrize("bad", ["MX", "μ", "M L", "m"])
+    def test_render_refuses_other_letters(self, bad):
+        with pytest.raises(MalformedWord):
+            render_word(bad)
 
     def test_bad_letter(self):
         with pytest.raises(MalformedWord):
@@ -153,13 +205,17 @@ class TestReduceMu:
             assert lambda_conserved(cur)
 
     def test_exhaustive_small_and_shuffle_independent(self):
-        # full sweep of every shuffle for all classes with m + n <= 16
+        # full sweep of every shuffle for all classes with m + n <= 16;
+        # the checked engine replays every trace to the reported final state
         for m in range(0, 17):
             for n in range(0, 17 - m):
                 finals = set()
                 for word in shuffles(m, n):
-                    final, _ = reduce_mu(initial_state(word))
+                    s = initial_state(word)
+                    final, trace = reduce_mu(s)
                     assert (final.w3, final.t3, final.t1) == ("L" * n, m, 0)
+                    assert len(trace) == 3 * m + inversions(word)
+                    assert replay(s, trace) == final
                     finals.add(final)
                 assert len(finals) <= 1
 
@@ -193,6 +249,45 @@ class TestReduceFull:
         for mv in trace:
             cur = apply_move(cur, mv)
             assert mu_conserved(cur)
+
+
+@st.composite
+def words(draw, max_len=300):
+    """Mu/lambda words of up to max_len letters, from all-mu to all-lambda."""
+    length = draw(st.integers(0, max_len))
+    mu_share = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+    return "".join("M" if draw(st.floats(0, 1)) < mu_share else "L" for _ in range(length))
+
+
+class TestClosedFormAgainstStepwise:
+    @settings(max_examples=25, deadline=None)
+    @given(words())
+    def test_reduce_mu(self, word):
+        s = initial_state(word)
+        final, trace = reduce_mu(s)
+        ref_final, ref_trace = stepwise_reduce_mu(s)
+        assert final == ref_final
+        assert trace == ref_trace
+        assert trace_lines(s, trace) == trace_lines(s, ref_trace)
+
+    @settings(max_examples=25, deadline=None)
+    @given(words())
+    def test_reduce_full(self, word):
+        s = initial_state(word)
+        if s.target[1] == 0:
+            with pytest.raises(NotApplicable):
+                reduce_full(s)
+            return
+        final, trace = reduce_full(s)
+        ref_final, ref_trace = stepwise_reduce_full(s)
+        assert final == ref_final
+        assert trace == ref_trace
+        assert trace_lines(s, trace) == trace_lines(s, ref_trace)
+
+    def test_errors_checked_before_applicability(self):
+        # a non-initial state is refused as malformed even without lambdas
+        with pytest.raises(MalformedWord):
+            reduce_full(SlideState("M", "", "", 0, 0, (1, 0)))
 
 
 class TestTraceFormat:
