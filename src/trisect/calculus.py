@@ -15,9 +15,9 @@ parse_plan states the file's COMPOSITE line; SurgeryPlan construction is
 the one place that composite is checked against the block product.
 """
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .diagram import CurveSystem, StarDiagram, TrisectionParams
 from .errors import (
     CannotDestabilize,
@@ -31,33 +31,41 @@ from .zmatrix import IntMatrix, identity, sl3_factor
 # pasting and fiber sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedPage:
+class ClosedPage(Record):
     """Glue along a fibered boundary with closed fiber of this genus."""
-    page_genus: int
+    __slots__ = ("page_genus",)
 
-    def __post_init__(self):
-        if self.page_genus < 0:
+    def __init__(self, page_genus: int):
+        if page_genus < 0:
             raise DiagramError("page genus must be >= 0")
+        object.__setattr__(self, "page_genus", page_genus)
 
 
-@dataclass(frozen=True)
-class BoundaryCircles:
+class BoundaryCircles(Record):
     """Glue the two trisection surfaces along all n boundary circles."""
-    circles: int
+    __slots__ = ("circles",)
 
-    def __post_init__(self):
-        if self.circles < 1:
+    def __init__(self, circles: int):
+        if circles < 1:
             raise CellDecompositionMismatch("boundary-circle pasting needs n >= 1")
+        object.__setattr__(self, "circles", circles)
 
 
-@dataclass(frozen=True)
-class PastingInput:
-    left: TrisectionParams
-    right: TrisectionParams
-    mode: object  # ClosedPage | BoundaryCircles
-    # per-sector common-curve counts; only consulted by BoundaryCircles
-    common: Optional[Tuple[int, int, int]] = None
+class PastingInput(Record):
+    __slots__ = ("left", "right", "mode", "common")
+
+    def __init__(
+        self,
+        left: TrisectionParams,
+        right: TrisectionParams,
+        mode: object,  # ClosedPage | BoundaryCircles
+        # per-sector common-curve counts; only consulted by BoundaryCircles
+        common: Optional[Tuple[int, int, int]] = None,
+    ):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "common", common)
 
 
 def paste(inp: PastingInput) -> TrisectionParams:
@@ -158,13 +166,21 @@ def poke(d: StarDiagram, counts: Tuple[int, int, int]) -> StarDiagram:
     )
 
 
-@dataclass(frozen=True)
-class ComplementResult:
+class ComplementResult(Record):
     """Bookkeeping for removing a neighborhood of a decomposed curve."""
-    params: TrisectionParams          # k undetermined; boundary grew by punctures
-    punctures: int                    # 3a junction punctures
-    curves_added: Tuple[int, int, int]
-    closure_genus: Optional[int]      # genus after gluing a genus-0 filling
+    __slots__ = ("params", "punctures", "curves_added", "closure_genus")
+
+    def __init__(
+        self,
+        params: TrisectionParams,          # k undetermined; boundary grew by punctures
+        punctures: int,                    # 3a junction punctures
+        curves_added: Tuple[int, int, int],
+        closure_genus: Optional[int],      # genus after gluing a genus-0 filling
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "punctures", punctures)
+        object.__setattr__(self, "curves_added", curves_added)
+        object.__setattr__(self, "closure_genus", closure_genus)
 
 
 def curve_complement(p: TrisectionParams, arcs: Tuple[int, int, int]) -> ComplementResult:
@@ -195,22 +211,24 @@ def curve_complement(p: TrisectionParams, arcs: Tuple[int, int, int]) -> Complem
 # ribbon graphs (shadow neighborhoods)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class RibbonGraph(Record):
     """Graph with a rotation system: rotations[v] lists the darts at vertex
     v in cyclic order; each edge is an unordered pair of darts."""
-    rotations: Tuple[Tuple[int, ...], ...]
-    edges: Tuple[Tuple[int, int], ...]
+    __slots__ = ("rotations", "edges")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        rotations: Tuple[Tuple[int, ...], ...],
+        edges: Tuple[Tuple[int, int], ...],
+    ):
         seen = set()
-        for v, rot in enumerate(self.rotations):
+        for v, rot in enumerate(rotations):
             for dart in rot:
                 if dart in seen:
                     raise DiagramError(f"dart {dart} appears at two rotation slots")
                 seen.add(dart)
         used = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if a == b:
                 raise DiagramError(f"edge ({a},{b}) must join two distinct darts")
             for dart in (a, b):
@@ -222,6 +240,8 @@ class RibbonGraph:
         dangling = seen - used
         if dangling:
             raise DiagramError(f"dangling darts with no edge: {sorted(dangling)}")
+        object.__setattr__(self, "rotations", rotations)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def vertex_count(self) -> int:
@@ -354,16 +374,20 @@ _ROT = ((0, -1), (1, 0))
 _ROT_INV = ((0, 1), (-1, 0))
 
 
-@dataclass(frozen=True)
-class PlanBlock:
-    kind: str
-    shear: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
+class PlanBlock(Record):
+    __slots__ = ("kind", "shear")
 
-    def __post_init__(self):
-        if self.kind not in BLOCK_KINDS:
-            raise DiagramError(f"unknown block kind {self.kind!r}")
-        if (self.kind == "shear") != (self.shear is not None):
+    def __init__(
+        self,
+        kind: str,
+        shear: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None,
+    ):
+        if kind not in BLOCK_KINDS:
+            raise DiagramError(f"unknown block kind {kind!r}")
+        if (kind == "shear") != (shear is not None):
             raise DiagramError("exactly the shear blocks carry a 2x2 matrix")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "shear", shear)
 
 
 COMPLEMENT = PlanBlock("complement")
@@ -407,20 +431,18 @@ def block_matrix(b: PlanBlock) -> IntMatrix:
 _SWAPS = {"tau12": (0, 1), "tau23": (1, 2), "tau31": (0, 2)}
 
 
-@dataclass(frozen=True)
-class SurgeryPlan:
+class SurgeryPlan(Record):
     """Blocks plus the composite their builder states; construction
     raises DiagramError unless it equals the block product.
 
     The product is built column by column: right multiplication by a
     block swaps two columns (tau12, tau23, tau31), mixes the first two
     (a shear), or does nothing (the identity blocks)."""
-    blocks: Tuple[PlanBlock, ...]
-    composite: IntMatrix
+    __slots__ = ("blocks", "composite")
 
-    def __post_init__(self):
+    def __init__(self, blocks: Tuple[PlanBlock, ...], composite: IntMatrix):
         cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        for b in self.blocks:
+        for b in blocks:
             if b.kind == "shear":
                 (p, q), (r, s) = b.shear
                 (x0, x1, x2), (y0, y1, y2) = cols[0], cols[1]
@@ -430,10 +452,12 @@ class SurgeryPlan:
                 i, j = _SWAPS[b.kind]
                 cols[i], cols[j] = cols[j], cols[i]
         prod = [list(row) for row in zip(*cols)]
-        if prod != self.composite:
+        if prod != composite:
             raise DiagramError(
-                f"stated composite {self.composite} does not match block product {prod}"
+                f"stated composite {composite} does not match block product {prod}"
             )
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "composite", composite)
 
 
 # Blocks realizing each SL3 rotation generator.  The plane rotations embed

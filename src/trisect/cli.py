@@ -12,7 +12,6 @@ with --json; both are deterministic for a given input.
 """
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -179,6 +178,8 @@ def _cmd_farey_atlas(args) -> int:
             raise DiagramError(f"TRISECT_MAX_DEN={env!r}: expected an integer") from None
     if max_den < 0:
         raise DiagramError("max denominator must be >= 0")
+    import csv  # on first use, so that the other verbs start without it
+
     rows = list(atlas_rows(max_den))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=ATLAS_COLUMNS, lineterminator="\n")

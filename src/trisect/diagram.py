@@ -9,10 +9,10 @@ data keyed by curve pairs.
 
 import json
 import math
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import DiagramError, VectorLength
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
@@ -23,27 +23,27 @@ COMMON_KEYS = ("gamma_alpha", "alpha_beta", "beta_gamma")
 # fractions (slopes)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fraction:
+class Fraction(Record):
     """A reduced slope num/den with den >= 0.
 
     den = 0 is allowed only as the formal fraction 1/0.  Use Fraction.of()
     to build one from arbitrary integers; the constructor insists on
     canonical form.
     """
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
+    def __init__(self, num: int, den: int):
+        if not isinstance(num, int) or not isinstance(den, int):
             raise DiagramError("fraction parts must be integers")
-        if self.den < 0:
-            raise DiagramError(f"fraction {self.num}/{self.den}: den must be >= 0")
-        if self.den == 0:
-            if self.num != 1:
-                raise DiagramError(f"fraction {self.num}/0: only 1/0 is allowed")
-        elif math.gcd(self.num, self.den) != 1:
-            raise DiagramError(f"fraction {self.num}/{self.den} is not reduced")
+        if den < 0:
+            raise DiagramError(f"fraction {num}/{den}: den must be >= 0")
+        if den == 0:
+            if num != 1:
+                raise DiagramError(f"fraction {num}/0: only 1/0 is allowed")
+        elif math.gcd(num, den) != 1:
+            raise DiagramError(f"fraction {num}/{den} is not reduced")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def of(num: int, den: int) -> "Fraction":
@@ -84,14 +84,14 @@ def parse_fraction(text: str) -> Fraction:
 # lattice and curve systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymplecticLattice:
+class SymplecticLattice(Record):
     """Z^(2g) with the standard pairing e_i . f_i = 1."""
-    genus: int
+    __slots__ = ("genus",)
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int):
+        if genus < 0:
             raise DiagramError("genus must be >= 0")
+        object.__setattr__(self, "genus", genus)
 
     @property
     def dim(self) -> int:
@@ -122,21 +122,30 @@ class SymplecticLattice:
         return j
 
 
-@dataclass(frozen=True)
-class CurveSystem:
+class CurveSystem(Record):
     """A labelled list of curve class vectors."""
-    label: str
-    classes: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("label", "classes")
+
+    def __init__(self, label: str, classes: Tuple[Tuple[int, ...], ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "classes", classes)
 
     def __len__(self) -> int:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "pairing" | "zero_class" | "common" | "geo"
-    message: str
-    advisory: bool = False
+class Violation(Record):
+    __slots__ = ("kind", "message", "advisory")
+
+    def __init__(
+        self,
+        kind: str,  # "pairing" | "zero_class" | "common" | "geo"
+        message: str,
+        advisory: bool = False,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "advisory", advisory)
 
 
 def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List[Violation]:
@@ -183,26 +192,35 @@ def _norm_geo_key(sys_a: str, i: int, sys_b: str, j: int) -> GeoKey:
     return (sys_b, j, sys_a, i)
 
 
-@dataclass(frozen=True)
-class StarDiagram:
+class StarDiagram(Record):
     """Three curve systems on one genus-g surface with b boundary circles.
 
     common maps a system pair ("alpha_beta", ...) to indices of curves that
     are literally shared: index i asserts the two systems' i-th classes are
     equal.  geo maps normalized curve-pair keys to nonnegative geometric
-    intersection counts.
+    intersection counts.  Both default to a new empty dict.
     """
-    genus: int
-    boundary: int
-    alpha: CurveSystem
-    beta: CurveSystem
-    gamma: CurveSystem
-    common: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    geo: Dict[GeoKey, int] = field(default_factory=dict)
+    __slots__ = ("genus", "boundary", "alpha", "beta", "gamma", "common", "geo")
 
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary < 0:
+    def __init__(
+        self,
+        genus: int,
+        boundary: int,
+        alpha: CurveSystem,
+        beta: CurveSystem,
+        gamma: CurveSystem,
+        common: Optional[Dict[str, Tuple[int, ...]]] = None,
+        geo: Optional[Dict[GeoKey, int]] = None,
+    ):
+        if genus < 0 or boundary < 0:
             raise DiagramError("genus and boundary must be >= 0")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "common", {} if common is None else common)
+        object.__setattr__(self, "geo", {} if geo is None else geo)
 
     def system(self, name: str) -> CurveSystem:
         if name not in SYSTEM_NAMES:
@@ -332,45 +350,51 @@ def validate_standard_pair(
 # parameter tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BridgeData:
+class BridgeData(Record):
     """Bridge position data (b; c1,c2,c3): b trivial arcs per handlebody,
     c_i trivial disks per sector."""
-    b: int
-    c: Tuple[int, int, int]
+    __slots__ = ("b", "c")
 
-    def __post_init__(self):
-        if len(self.c) != 3 or any(ci < 0 for ci in self.c):
+    def __init__(self, b: int, c: Tuple[int, int, int]):
+        if len(c) != 3 or any(ci < 0 for ci in c):
             raise DiagramError("bridge data needs three counts >= 0")
-        if max(self.c) < 1 or self.b < max(self.c):
+        if max(c) < 1 or b < max(c):
             raise DiagramError("bridge data requires b >= max(c_i) >= 1")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
-class TrisectionParams:
+class TrisectionParams(Record):
     """The tuple (g; k1,k2,k3; b), optionally carrying bridge data.
 
     k is None when an operation (boundary-circle pasting without curve
     counts) determines the genus but not the sector handlebody genera.
     """
-    genus: int
-    k: Optional[Tuple[int, int, int]]
-    boundary: int = 0
-    bridge: Optional[BridgeData] = None
+    __slots__ = ("genus", "k", "boundary", "bridge")
 
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary < 0:
+    def __init__(
+        self,
+        genus: int,
+        k: Optional[Tuple[int, int, int]],
+        boundary: int = 0,
+        bridge: Optional[BridgeData] = None,
+    ):
+        if genus < 0 or boundary < 0:
             raise DiagramError("genus and boundary must be >= 0")
-        if self.k is not None:
-            if len(self.k) != 3:
+        if k is not None:
+            if len(k) != 3:
                 raise DiagramError("k must be a triple")
-            for ki in self.k:
+            for ki in k:
                 if ki < 0:
-                    raise DiagramError(f"k = {self.k}: sector genera must be >= 0")
-                if self.boundary == 0 and ki > self.genus:
+                    raise DiagramError(f"k = {k}: sector genera must be >= 0")
+                if boundary == 0 and ki > genus:
                     raise DiagramError(
-                        f"k = {self.k}: closed parameters need k_i <= g = {self.genus}"
+                        f"k = {k}: closed parameters need k_i <= g = {genus}"
                     )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "bridge", bridge)
 
     @property
     def closed(self) -> bool:

@@ -8,12 +8,12 @@ symmetric form of the triple (three distinct fractions), a parity rule
 (two distinct), or a spun lens space (all equal).
 """
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from ._record import Record
 from .diagram import CurveSystem, Fraction, StarDiagram, dmet
 from .errors import FormUndefined, NotNeighbors
-from .zmatrix import FormClass, IntMatrix, classify_unimodular, sym_form_invariants
+from .zmatrix import FormClass, IntMatrix, classify_unimodular
 
 KIND_INVALID = "Invalid"
 KIND_ALL_EQUAL = "AllEqual"
@@ -28,11 +28,13 @@ S2XS2 = "S2xS2"
 S2TWS2 = "S2x~S2"   # the twisted bundle
 
 
-@dataclass(frozen=True)
-class SpunLens:
+class SpunLens(Record):
     """Spun lens space of L(p, q); the all-equal triple (q/p, q/p, q/p)."""
-    p: int
-    q: int
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __str__(self) -> str:
         return f"SpunLens({self.p},{self.q})"
@@ -41,11 +43,13 @@ class SpunLens:
 Manifold = Union[str, SpunLens, None]
 
 
-@dataclass(frozen=True)
-class FareyTriple:
-    x: Fraction
-    y: Fraction
-    z: Fraction
+class FareyTriple(Record):
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
@@ -54,12 +58,20 @@ class FareyTriple:
         return f"{self.x} {self.y} {self.z}"
 
 
-@dataclass(frozen=True)
-class FareyClassification:
-    kind: str
-    manifold: Manifold
-    refined: Optional[Tuple[str, str]]  # (T, S) with manifold = T # S
-    form: Optional[FormClass]
+class FareyClassification(Record):
+    __slots__ = ("kind", "manifold", "refined", "form")
+
+    def __init__(
+        self,
+        kind: str,
+        manifold: Manifold,
+        refined: Optional[Tuple[str, str]],  # (T, S) with manifold = T # S
+        form: Optional[FormClass],
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "manifold", manifold)
+        object.__setattr__(self, "refined", refined)
+        object.__setattr__(self, "form", form)
 
 
 def triple_kind(t: FareyTriple) -> str:
@@ -206,13 +218,23 @@ def enumerate_triples(max_den: int) -> Iterator[Tuple[FareyTriple, FareyClassifi
 def atlas_rows(max_den: int) -> Iterator[Dict[str, object]]:
     """CSV-ready rows for every valid triple: triple, kind, manifold,
     refined name, and the form invariants (the all-equal empty form
-    reports rank 0, signature 0, parity Even, det 1)."""
+    reports rank 0, signature 0, parity Even, det 1).
+
+    The invariants are read off the form class `classify` found, with no
+    second elimination: odd_indefinite (p, m) has rank p + m, signature
+    p - m, parity Odd and det (-1)^m; even_indefinite (h,) has rank 2h,
+    signature 0, parity Even and det (-1)^h.  Triplets and two-distinct
+    triples have no other form classes."""
     for t, cls in enumerate_triples(max_den):
+        form = cls.form
         if cls.kind == KIND_ALL_EQUAL:
             rank, signature, parity, det = 0, 0, "Even", 1
+        elif form.kind == "odd_indefinite":
+            p, m = form.params
+            rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
         else:
-            inv = sym_form_invariants(qx(t))
-            rank, signature, parity, det = inv.rank, inv.signature, inv.parity, inv.det
+            (h,) = form.params  # even_indefinite
+            rank, signature, parity, det = 2 * h, 0, "Even", (-1) ** h
         yield {
             "triple": str(t),
             "kind": cls.kind,

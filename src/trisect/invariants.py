@@ -6,19 +6,26 @@ systems.  Euler characteristic and handle counts come straight from the
 parameter tuple and are defined for closed manifolds only.
 """
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ._record import Record
 from .diagram import StarDiagram, TrisectionParams, diagram_ok, validate_diagram
 from .errors import BoundaryNotSupported, DiagramError
 from .zmatrix import cokernel_invariants
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    h1_free_rank: int
-    h1_torsion: Tuple[int, ...]
-    euler: Optional[int] = None
+class HomologyReport(Record):
+    __slots__ = ("h1_free_rank", "h1_torsion", "euler")
+
+    def __init__(
+        self,
+        h1_free_rank: int,
+        h1_torsion: Tuple[int, ...],
+        euler: Optional[int] = None,
+    ):
+        object.__setattr__(self, "h1_free_rank", h1_free_rank)
+        object.__setattr__(self, "h1_torsion", h1_torsion)
+        object.__setattr__(self, "euler", euler)
 
     def h1_str(self) -> str:
         parts = ["Z"] * self.h1_free_rank + [f"Z/{t}" for t in self.h1_torsion]

@@ -18,9 +18,9 @@ Internally letters are "M" and "L"; input accepts the Greek forms too,
 and rendering emits them.
 """
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ._record import Record
 from .errors import IllegalMove, MalformedWord, NotApplicable
 
 MU = "M"
@@ -54,19 +54,27 @@ def render_word(word: str) -> str:
     return _greek(word)
 
 
-@dataclass(frozen=True)
-class SlideState:
-    w1: str
-    w2: str
-    w3: str
-    t3: int
-    t1: int
-    target: Tuple[int, int]  # (m, n) curve class
+class SlideState(Record):
+    __slots__ = ("w1", "w2", "w3", "t3", "t1", "target")
 
-    def __post_init__(self):
-        for w in (self.w1, self.w2, self.w3):
+    def __init__(
+        self,
+        w1: str,
+        w2: str,
+        w3: str,
+        t3: int,
+        t1: int,
+        target: Tuple[int, int],  # (m, n) curve class
+    ):
+        for w in (w1, w2, w3):
             if not _in_alphabet(w):
                 raise MalformedWord(f"word {w!r} contains letters outside the alphabet")
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "w3", w3)
+        object.__setattr__(self, "t3", t3)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "target", target)
 
     def counts(self) -> Tuple[int, int]:
         """(mu letters, lambda letters) across all three words."""
@@ -112,17 +120,17 @@ _ANCHORS = {
 }
 
 
-@dataclass(frozen=True)
-class SlideMove:
-    kind: str
-    arg: Optional[int] = None
+class SlideMove(Record):
+    __slots__ = ("kind", "arg")
 
-    def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
-            raise IllegalMove(f"unknown move kind {self.kind!r}")
-        needs_arg = self.kind in ("ExtendB1", "CommuteLambdaMu")
-        if needs_arg != (self.arg is not None):
-            raise IllegalMove(f"move {self.kind} argument mismatch")
+    def __init__(self, kind: str, arg: Optional[int] = None):
+        if kind not in MOVE_KINDS:
+            raise IllegalMove(f"unknown move kind {kind!r}")
+        needs_arg = kind in ("ExtendB1", "CommuteLambdaMu")
+        if needs_arg != (arg is not None):
+            raise IllegalMove(f"move {kind} argument mismatch")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arg", arg)
 
     @property
     def anchor(self) -> str:

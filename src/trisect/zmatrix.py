@@ -25,10 +25,9 @@ performs (each combine emits at most one conjugated shear of <= 13 letters
 plus bookkeeping); tests assert a generous closed-form cap.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import FormUndefined, NotSL3, NotUnimodular
 
 IntMatrix = List[List[int]]
@@ -337,11 +336,13 @@ def _dense_diagonal(s: IntMatrix) -> List[int]:
     return diag
 
 
-@dataclass(frozen=True)
-class CokernelInvariants:
+class CokernelInvariants(Record):
     """Invariants of Z^rows / column-span(M)."""
-    free_rank: int
-    torsion: Tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: Tuple[int, ...]):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
 
 def cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
@@ -356,12 +357,20 @@ def cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
 # symmetric bilinear forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormInvariants:
-    rank: int
-    signature: int
-    parity: str  # "Even" or "Odd"
-    det: int
+class FormInvariants(Record):
+    __slots__ = ("rank", "signature", "parity", "det")
+
+    def __init__(
+        self,
+        rank: int,
+        signature: int,
+        parity: str,  # "Even" or "Odd"
+        det: int,
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "det", det)
 
 
 def sym_form_invariants(q: Sequence[Sequence[int]]) -> FormInvariants:
@@ -372,6 +381,8 @@ def sym_form_invariants(q: Sequence[Sequence[int]]) -> FormInvariants:
     handled by the x -> x + y basis move.  Parity is Even iff every diagonal
     entry of q is even (equivalently q(x,x) is even for all x).
     """
+    from fractions import Fraction  # on first use: it would slow every verb's start
+
     check_int_matrix(q, "form")
     n, c = dims(q)
     if n != c:
@@ -431,16 +442,18 @@ def sym_form_invariants(q: Sequence[Sequence[int]]) -> FormInvariants:
     return FormInvariants(rank=pos + neg, signature=pos - neg, parity=parity, det=det)
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(Record):
     """Classification of a unimodular symmetric form.
 
     kind is one of "zero", "odd_indefinite" (params (p, q)),
     "even_indefinite" (params (hyperbolic_count,)), "positive_diagonal" /
     "negative_diagonal" (params (n,)), or "unclassified".
     """
-    kind: str
-    params: Tuple[int, ...] = ()
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: Tuple[int, ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     def __str__(self) -> str:
         if self.params:
@@ -477,12 +490,14 @@ def classify_unimodular(q: Sequence[Sequence[int]]) -> FormClass:
 # SL3(Z) words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(Record):
     """One letter of an SL3 word: kind in {s12, s23, s31, s12i, s23i, s31i, e};
     k is the shear amount and only meaningful for kind "e"."""
-    kind: str
-    k: int = 0
+    __slots__ = ("kind", "k")
+
+    def __init__(self, kind: str, k: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
 
     def inverse(self) -> "Gen":
         if self.kind == "e":
@@ -511,6 +526,14 @@ _GEN_FIXED = {
 }
 
 
+# Left multiplication by a sigma letter moves two rows and fixes the third:
+# row i of g.a is sign * row j of a, for each (i, j, sign) read off g.
+_SIGMA_ROWS = {
+    kind: tuple((i, j, g[i][j]) for i in range(3) for j in range(3) if i != j and g[i][j])
+    for kind, g in _GEN_FIXED.items()
+}
+
+
 def gen_matrix(g: Gen) -> IntMatrix:
     if g.kind == "e":
         return shear(g.k)
@@ -520,9 +543,11 @@ def gen_matrix(g: Gen) -> IntMatrix:
         raise ValueError(f"unknown generator kind {g.kind!r}") from None
 
 
-@dataclass(frozen=True)
-class SL3Word:
-    factors: Tuple[Gen, ...]
+class SL3Word(Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Tuple[Gen, ...]):
+        object.__setattr__(self, "factors", factors)
 
     def product(self) -> IntMatrix:
         out = identity(3)
@@ -604,8 +629,15 @@ def sl3_factor(m: Sequence[Sequence[int]]) -> SL3Word:
     hist: List[Gen] = []
 
     def apply(gen: Gen):
-        nonlocal a
-        a = mat_mul(gen_matrix(gen), a)
+        # a = gen_matrix(gen) . a, as row operations
+        if gen.kind == "e":
+            k = gen.k
+            a[0] = [x + k * y for x, y in zip(a[0], a[1])]
+        else:
+            moved = [(i, a[j] if sign == 1 else [-x for x in a[j]])
+                     for i, j, sign in _SIGMA_ROWS[gen.kind]]
+            for i, row in moved:
+                a[i] = row
         hist.append(gen)
 
     def row_add(i, j, k):

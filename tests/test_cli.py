@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trisect
 from trisect.cli import main
 
 
@@ -280,3 +284,15 @@ class TestArgvFuzz:
                     code = e.code
         assert code in (0, 1, 2), argv
         assert err.getvalue() == "" or one_error_line(err.getvalue()), (argv, err.getvalue())
+
+
+def test_import_leaves_unused_modules_unloaded():
+    # start-up cost of every verb: these modules are slow to import and no
+    # verb needs them before it runs (csv and fractions load on first use)
+    unused = ("dataclasses", "inspect", "fractions", "decimal", "csv")
+    code = f"import sys, trisect.cli; print(*[m for m in {unused!r} if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(trisect.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []

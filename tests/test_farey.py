@@ -203,6 +203,21 @@ class TestEnumeration:
         kinds = {r["kind"] for r in rows}
         assert kinds == {"AllEqual", "TwoDistinct", "FareyTriplet"}
 
+    def test_atlas_invariants_match_elimination(self):
+        # atlas_rows reads the invariants off the form class; eliminating
+        # qx of the same triple is the reference
+        form_kinds = set()
+        for (t, cls), row in zip(enumerate_triples(15), atlas_rows(15)):
+            assert row["triple"] == str(t)
+            if cls.kind == "AllEqual":
+                assert (row["rank"], row["signature"], row["parity"], row["det"]) == (0, 0, "Even", 1)
+                continue
+            inv = sym_form_invariants(qx(t))
+            assert (row["rank"], row["signature"], row["parity"], row["det"]) == (
+                inv.rank, inv.signature, inv.parity, inv.det)
+            form_kinds.add(cls.form.kind)
+        assert form_kinds == {"odd_indefinite", "even_indefinite"}
+
 
 class TestHomologyModel:
     def test_invalid_triple_rejected(self):

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trisect import zmatrix
 from trisect.errors import FormUndefined, NotSL3, NotUnimodular
 from trisect.zmatrix import (
     CokernelInvariants,
@@ -259,6 +262,20 @@ class TestSL3:
             maxabs = max(abs(x) for row in m for x in row)
             assert len(word) <= 200 + 60 * max(1, maxabs.bit_length())
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(8, 256), st.integers(0, 2**32))
+    def test_row_operations_match_matrix_products(self, bits, seed):
+        # an SL3 matrix with an entry of >= bits bits, from elementary row steps
+        rng = random.Random(seed)
+        m = identity(3)
+        while max(abs(x) for row in m for x in row).bit_length() < bits:
+            i, j = rng.sample(range(3), 2)
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        word = sl3_factor(m)
+        assert word.factors == _sl3_factor_by_products(m)
+        assert word.product() == m
+
     def test_rejects_non_sl3(self):
         with pytest.raises(NotSL3):
             sl3_factor([[1, 0], [0, 1]])
@@ -268,3 +285,49 @@ class TestSL3:
             sl3_factor([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # det -1
         with pytest.raises(NotSL3):
             sl3_factor([[1, 0, 0], [0, 1, 0], [0, 0.5, 1]])
+
+
+def _sl3_factor_by_products(m):
+    """sl3_factor's reduction with each letter applied as a full 3x3 product
+    gen_matrix(g) . a; returns the factors of its word."""
+    a = [list(row) for row in m]
+    hist = []
+
+    def apply(gen):
+        nonlocal a
+        a = mat_mul(gen_matrix(gen), a)
+        hist.append(gen)
+
+    def row_add(i, j, k):
+        for g in reversed(zmatrix._row_add_word(i, j, k)):
+            apply(g)
+
+    def reduce_column(col, rows):
+        while True:
+            nz = [r for r in rows if a[r][col] != 0]
+            if len(nz) <= 1:
+                return nz[0] if nz else None
+            piv = min(nz, key=lambda r: abs(a[r][col]))
+            for r in nz:
+                if r != piv:
+                    row_add(r, piv, -(a[r][col] // a[piv][col]))
+
+    lone = reduce_column(0, [0, 1, 2])
+    if lone != 0:
+        row_add(0, lone, a[lone][0])
+        row_add(lone, 0, -a[lone][0])
+    elif a[0][0] < 0:
+        apply(Gen("s12"))
+        apply(Gen("s12"))
+    lone = reduce_column(1, [1, 2])
+    if lone == 2:
+        row_add(1, 2, a[2][1])
+        row_add(2, 1, -a[2][1])
+    elif a[1][1] < 0:
+        apply(Gen("s23"))
+        apply(Gen("s23"))
+    row_add(1, 2, -a[1][2])
+    row_add(0, 2, -a[0][2])
+    row_add(0, 1, -a[0][1])
+    assert a == identity(3)
+    return tuple(g.inverse() for g in hist)
