@@ -13,7 +13,6 @@ with --json; both are deterministic for a given input.
 
 import argparse
 import io
-import json
 import os
 import sys
 from typing import List, Optional
@@ -59,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, lines: List[str], payload) -> None:
     if getattr(args, "json", False):
+        import json  # on first use, as in diagram
+
         print(json.dumps(payload, indent=1))
     else:
         for line in lines:

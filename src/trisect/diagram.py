@@ -7,7 +7,6 @@ as integer class vectors; geometric intersection counts are optional side
 data keyed by curve pairs.
 """
 
-import json
 import math
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -74,8 +73,6 @@ def parse_fraction(text: str) -> Fraction:
         num, den = int(parts[0]), int(parts[1])
     except ValueError:
         raise DiagramError(f"fraction {text!r}: parts must be integers") from None
-    if num == 0 and den == 0:
-        raise DiagramError("fraction 0/0 is undefined")
     # unreduced or negative-den input is accepted and normalized
     return Fraction.of(num, den)
 
@@ -112,14 +109,6 @@ class SymplecticLattice(Record):
         for i in range(self.genus):
             total += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
         return total
-
-    def pairing_matrix(self) -> List[List[int]]:
-        n = self.dim
-        j = [[0] * n for _ in range(n)]
-        for i in range(self.genus):
-            j[2 * i][2 * i + 1] = 1
-            j[2 * i + 1][2 * i] = -1
-        return j
 
 
 class CurveSystem(Record):
@@ -496,6 +485,8 @@ def parse_diagram(text: str) -> StarDiagram:
     Errors carry the offending field path (or line/column for malformed
     JSON).
     """
+    import json  # on first use, so that verbs that read no diagram start without it
+
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -570,6 +561,8 @@ def serialize_diagram(d: StarDiagram) -> str:
     parse . serialize is the identity on diagrams, and serialize . parse is
     the identity on canonical files.
     """
+    import json  # on first use, as in parse_diagram
+
     obj: Dict[str, object] = {
         "basis": _expected_basis(d.genus),
         "genus": d.genus,

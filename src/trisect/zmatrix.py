@@ -19,10 +19,9 @@ The SL3 word alphabet consists of the three quarter-turn matrices
 
 their inverses, and the shears E(k) = [[1,k,0],[0,1,0],[0,0,1]].  These
 generate SL3(Z); `sl3_factor` writes any determinant-1 integer matrix as a
-word in them by Euclidean row reduction.  Word length is bounded by
-16 + 14*c where c is the number of Euclidean combine steps the reduction
-performs (each combine emits at most one conjugated shear of <= 13 letters
-plus bookkeeping); tests assert a generous closed-form cap.
+word in them by Euclidean row reduction: each row step a_i += k*a_j
+emits one conjugated shear of at most 5 letters, and each of the two
+possible sign fixes emits 2, so a word has at most 5*(shears) + 4 letters.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -526,14 +525,6 @@ _GEN_FIXED = {
 }
 
 
-# Left multiplication by a sigma letter moves two rows and fixes the third:
-# row i of g.a is sign * row j of a, for each (i, j, sign) read off g.
-_SIGMA_ROWS = {
-    kind: tuple((i, j, g[i][j]) for i in range(3) for j in range(3) if i != j and g[i][j])
-    for kind, g in _GEN_FIXED.items()
-}
-
-
 def gen_matrix(g: Gen) -> IntMatrix:
     if g.kind == "e":
         return shear(g.k)
@@ -559,53 +550,27 @@ class SL3Word(Record):
         return len(self.factors)
 
 
-def _conjugator_table():
-    """For each ordered pair (i, j), i != j, a shortest word w in the sigma
-    letters whose matrix P satisfies P e1 = +-e_i and P e2 = +-e_j, plus the
-    sign product.  Then P E(s*k) P^-1 = I + k e_ij."""
-    target = {}
-    seen = {}
-    frontier = [((), identity(3))]
-    seen[tuple(map(tuple, identity(3)))] = ()
-    letters = [Gen(kind) for kind in ("s12", "s23", "s31", "s12i", "s23i", "s31i")]
-    while frontier and len(target) < 6:
-        nxt = []
-        for word, mat in frontier:
-            # column images of e1 and e2
-            c1 = [mat[r][0] for r in range(3)]
-            c2 = [mat[r][1] for r in range(3)]
+_S12, _S23, _S31 = Gen("s12"), Gen("s23"), Gen("s31")
+_S12I, _S23I, _S31I = Gen("s12i"), Gen("s23i"), Gen("s31i")
 
-            def axis(v):
-                for idx in range(3):
-                    if abs(v[idx]) == 1 and all(v[r] == 0 for r in range(3) if r != idx):
-                        return idx, v[idx]
-                return None
-
-            a1, a2 = axis(c1), axis(c2)
-            if a1 and a2:
-                key = (a1[0] + 1, a2[0] + 1)
-                if key[0] != key[1] and key not in target:
-                    target[key] = (word, a1[1] * a2[1])
-            for g in letters:
-                m2 = mat_mul(mat, gen_matrix(g))
-                k = tuple(map(tuple, m2))
-                if k not in seen:
-                    seen[k] = None
-                    nxt.append((word + (g,), m2))
-        frontier = nxt
-    assert len(target) == 6
-    return target
-
-
-_CONJ = _conjugator_table()
+# (i, j) -> (w, w^-1, s) with w a shortest sigma word whose matrix P has
+# P e1 = +-e_i and P e2 = +-e_j, s the product of those two signs; then
+# P E(s*k) P^-1 = I + k e_ij.  tests/test_zmatrix.py re-derives it by search.
+_CONJ = {
+    (0, 1): ((), (), 1),
+    (0, 2): ((_S23,), (_S23I,), 1),
+    (1, 0): ((_S12,), (_S12I,), -1),
+    (1, 2): ((_S12, _S23), (_S23I, _S12I), 1),
+    (2, 0): ((_S12, _S31), (_S31I, _S12I), 1),
+    (2, 1): ((_S31,), (_S31I,), -1),
+}
 
 
 def _row_add_word(i: int, j: int, k: int) -> Tuple[Gen, ...]:
     """Word whose product is I + k*e_ij (adds k*row_j to row_i on the left)."""
     if k == 0:
         return ()
-    word, sign = _CONJ[(i + 1, j + 1)]
-    inv = tuple(g.inverse() for g in reversed(word))
+    word, inv, sign = _CONJ[(i, j)]
     return word + (Gen("e", sign * k),) + inv
 
 
@@ -625,57 +590,48 @@ def sl3_factor(m: Sequence[Sequence[int]]) -> SL3Word:
     if det != 1:
         raise NotSL3(f"determinant is {det}, need 1")
 
+    # Row steps E_1 .. E_n take a from m to I, so m = E_1^-1 ... E_n^-1:
+    # each step appends the word of its own inverse.
     a = mat_copy(m)
-    hist: List[Gen] = []
-
-    def apply(gen: Gen):
-        # a = gen_matrix(gen) . a, as row operations
-        if gen.kind == "e":
-            k = gen.k
-            a[0] = [x + k * y for x, y in zip(a[0], a[1])]
-        else:
-            moved = [(i, a[j] if sign == 1 else [-x for x in a[j]])
-                     for i, j, sign in _SIGMA_ROWS[gen.kind]]
-            for i, row in moved:
-                a[i] = row
-        hist.append(gen)
+    word: List[Gen] = []
 
     def row_add(i, j, k):
-        # apply() left-multiplies, so feed the word back to front
-        for g in reversed(_row_add_word(i, j, k)):
-            apply(g)
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        word.extend(_row_add_word(i, j, -k))
+
+    def negate(i, j, inv):
+        # sigma^2 negates rows i and j; its inverse is inv inv
+        a[i] = [-x for x in a[i]]
+        a[j] = [-x for x in a[j]]
+        word.extend((inv, inv))
 
     def reduce_column(col: int, rows: List[int]):
         # Euclidean reduction of a[r][col] for r in rows down to one entry
         while True:
             nz = [r for r in rows if a[r][col] != 0]
-            if len(nz) <= 1:
-                return nz[0] if nz else None
+            if len(nz) == 1:  # det 1: the column is never all zero
+                return nz[0]
             piv = min(nz, key=lambda r: abs(a[r][col]))
             for r in nz:
                 if r != piv:
                     row_add(r, piv, -(a[r][col] // a[piv][col]))
 
-    # column 0 over all three rows
+    # column 0 over all three rows (det 1 leaves one entry, +-1)
     lone = reduce_column(0, [0, 1, 2])
-    if lone is None:
-        raise NotSL3("singular matrix")  # unreachable for det 1
     if lone != 0:
         row_add(0, lone, a[lone][0])  # a[0][0] becomes +1
         row_add(lone, 0, -a[lone][0])
     elif a[0][0] < 0:
-        apply(Gen("s12"))
-        apply(Gen("s12"))  # negates rows 0 and 1
+        negate(0, 1, _S12I)
     # column 1 over rows 1, 2
     lone = reduce_column(1, [1, 2])
     if lone == 2:
         row_add(1, 2, a[2][1])
         row_add(2, 1, -a[2][1])
     elif a[1][1] < 0:
-        apply(Gen("s23"))
-        apply(Gen("s23"))  # negates rows 1 and 2
+        negate(1, 2, _S23I)
     # a is now upper triangular with diagonal (1, 1, 1); clear the tail
     row_add(1, 2, -a[1][2])
     row_add(0, 2, -a[0][2])
     row_add(0, 1, -a[0][1])
-    return SL3Word(tuple(g.inverse() for g in hist))
+    return SL3Word(tuple(word))

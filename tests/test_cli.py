@@ -288,8 +288,8 @@ class TestArgvFuzz:
 
 def test_import_leaves_unused_modules_unloaded():
     # start-up cost of every verb: these modules are slow to import and no
-    # verb needs them before it runs (csv and fractions load on first use)
-    unused = ("dataclasses", "inspect", "fractions", "decimal", "csv")
+    # verb needs them before it runs (csv, fractions and json load on first use)
+    unused = ("dataclasses", "inspect", "fractions", "decimal", "csv", "json")
     code = f"import sys, trisect.cli; print(*[m for m in {unused!r} if m in sys.modules])"
     src = os.path.dirname(os.path.dirname(trisect.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -52,8 +52,13 @@ class TestFraction:
 
     @pytest.mark.parametrize("bad", ["", "1", "x/y", "1/2/3", "0/0"])
     def test_parse_rejects(self, bad):
-        with pytest.raises(DiagramError):
+        message = {
+            "x/y": "fraction 'x/y': parts must be integers",
+            "0/0": "fraction 0/0 is undefined",
+        }.get(bad, f"fraction {bad!r}: expected the form a/b")
+        with pytest.raises(DiagramError) as err:
             parse_fraction(bad)
+        assert str(err.value) == message
 
     def test_canonical_constructor(self):
         with pytest.raises(DiagramError):

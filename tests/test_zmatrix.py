@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisect import zmatrix
@@ -15,6 +15,7 @@ from trisect.zmatrix import (
     SIGMA_12,
     SIGMA_23,
     SIGMA_31,
+    SL3Word,
     classify_unimodular,
     cokernel_invariants,
     determinant,
@@ -261,10 +262,30 @@ class TestSL3:
             # documented generous cap on word growth
             maxabs = max(abs(x) for row in m for x in row)
             assert len(word) <= 200 + 60 * max(1, maxabs.bit_length())
+            # tight: 5 letters per conjugated shear, 2 per sign fix
+            assert len(word) <= 5 * sum(g.kind == "e" for g in word.factors) + 4
+
+    def test_conjugator_table_matches_search(self):
+        assert zmatrix._CONJ == {
+            ij: (w, tuple(g.inverse() for g in reversed(w)), sign)
+            for ij, (w, sign) in _conjugator_search().items()
+        }
+
+    def test_row_add_words_are_elementary(self):
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                for k in (-3, 1, 7):
+                    e = identity(3)
+                    e[i][j] = k
+                    assert SL3Word(zmatrix._row_add_word(i, j, k)).product() == e
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(8, 256), st.integers(0, 2**32))
-    def test_row_operations_match_matrix_products(self, bits, seed):
+    @given(st.integers(8, 256), st.integers(0, 2**32), st.sampled_from([(), (0, 1), (1, 2)]))
+    @example(8, 0, (0, 1))  # takes the row 0, 1 sign fix
+    @example(8, 0, (1, 2))  # takes the row 1, 2 sign fix
+    def test_row_operations_match_matrix_products(self, bits, seed, negated):
         # an SL3 matrix with an entry of >= bits bits, from elementary row steps
         rng = random.Random(seed)
         m = identity(3)
@@ -272,6 +293,8 @@ class TestSL3:
             i, j = rng.sample(range(3), 2)
             k = rng.choice((-3, -2, -1, 1, 2, 3))
             m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        for i in negated:
+            m[i] = [-x for x in m[i]]
         word = sl3_factor(m)
         assert word.factors == _sl3_factor_by_products(m)
         assert word.product() == m
@@ -331,3 +354,26 @@ def _sl3_factor_by_products(m):
     row_add(0, 1, -a[0][1])
     assert a == identity(3)
     return tuple(g.inverse() for g in hist)
+
+
+def _conjugator_search():
+    """Breadth-first search over sigma words, letters in a fixed order: for
+    each (i, j), i != j, the first shortest word whose matrix P has
+    P e1 = +-e_i and P e2 = +-e_j, with the product of those two signs."""
+    letters = [Gen(kind) for kind in ("s12", "s23", "s31", "s12i", "s23i", "s31i")]
+    found = {}
+    seen = set()
+    frontier = [((), identity(3))]
+    while len(found) < 6:
+        nxt = []
+        for word, p in frontier:
+            key = tuple(map(tuple, p))
+            if key in seen:
+                continue
+            seen.add(key)
+            # p is a signed permutation: one +-1 in each column
+            (i, si), (j, sj) = [next((r, p[r][c]) for r in range(3) if p[r][c]) for c in (0, 1)]
+            found.setdefault((i, j), (word, si * sj))
+            nxt += [(word + (g,), mat_mul(p, gen_matrix(g))) for g in letters]
+        frontier = nxt
+    return found
