@@ -534,7 +534,10 @@ _KIND_TO_TOKEN = {
     "tau31": "TAU31",
     "tauempty": "TAUEMPTY",
 }
-_TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
+# the six argument-free block lines, each standing for its module constant
+_TOKEN_BLOCKS = {
+    _KIND_TO_TOKEN[b.kind]: b for b in (COMPLEMENT, TAU0, TAU12, TAU23, TAU31, TAUEMPTY)
+}
 
 
 def serialize_plan(plan: SurgeryPlan) -> str:
@@ -553,6 +556,9 @@ def serialize_plan(plan: SurgeryPlan) -> str:
 
 def parse_plan(text: str) -> SurgeryPlan:
     blocks: List[PlanBlock] = []
+    # each good stripped block line -> its block, so a repeated line is
+    # split, converted and checked once; a bad line raises before it is kept
+    built: Dict[str, PlanBlock] = dict(_TOKEN_BLOCKS)
     stated: Optional[IntMatrix] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -560,6 +566,10 @@ def parse_plan(text: str) -> SurgeryPlan:
             continue
         if stated is not None:
             raise DiagramError(f"line {lineno}: content after COMPOSITE")
+        block = built.get(line)
+        if block is not None:
+            blocks.append(block)
+            continue
         tokens = line.split()
         word = tokens[0]
         if word == "SHEAR":
@@ -569,7 +579,8 @@ def parse_plan(text: str) -> SurgeryPlan:
                 p, q, r, s = (int(t) for t in tokens[1:])
             except ValueError:
                 raise DiagramError(f"line {lineno}: SHEAR needs integers") from None
-            blocks.append(shear_block(((p, q), (r, s))))
+            block = built[line] = shear_block(((p, q), (r, s)))
+            blocks.append(block)
         elif word == "COMPOSITE":
             if len(tokens) != 10:
                 raise DiagramError(f"line {lineno}: COMPOSITE needs 9 integers")
@@ -578,10 +589,8 @@ def parse_plan(text: str) -> SurgeryPlan:
             except ValueError:
                 raise DiagramError(f"line {lineno}: COMPOSITE needs integers") from None
             stated = [vals[0:3], vals[3:6], vals[6:9]]
-        elif word in _TOKEN_TO_KIND:
-            if len(tokens) != 1:
-                raise DiagramError(f"line {lineno}: {word} takes no arguments")
-            blocks.append(PlanBlock(_TOKEN_TO_KIND[word]))
+        elif word in _TOKEN_BLOCKS:
+            raise DiagramError(f"line {lineno}: {word} takes no arguments")
         else:
             raise DiagramError(f"line {lineno}: unknown block {word!r}")
     if stated is None:

@@ -50,10 +50,27 @@ ATLAS_COLUMNS = ("triple", "kind", "manifold", "refined", "rank", "signature", "
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors surface as invalid input (exit 1), not argparse's own exit."""
+    """Usage errors surface as invalid input (exit 1), not argparse's own exit.
+
+    An `intermixed` parser takes options anywhere among its positionals, so
+    `plan general --json 1 0 ...` parses as `plan --json general 1 0 ...`
+    does; a plain parser ends a nargs="*" list at the first option."""
+
+    def __init__(self, *args, intermixed: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._intermixed = intermixed
 
     def error(self, message):
         raise DiagramError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self._intermixed:
+            return super().parse_known_args(args, namespace)
+        self._intermixed = False  # parse_known_intermixed_args calls back in here
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixed = True
 
 
 def _emit(args, lines: List[str], payload) -> None:
@@ -299,9 +316,8 @@ def _cmd_slide(args) -> int:
         raise DiagramError(str(e))
     fn = slides.reduce_mu if args.mode == "reduce-mu" else slides.reduce_full
     final, trace = fn(state)
-    trace_out = slides.trace_lines(state, trace)
-    lines = list(trace_out) if args.trace else []
-    lines += [slides.format_state(final), f"moves: {len(trace)}"]
+    trace_out = slides.trace_lines(state, trace) if args.trace else []
+    lines = trace_out + [slides.format_state(final), f"moves: {len(trace)}"]
     payload = {
         "final": {
             "w1": slides.render_word(final.w1),
@@ -388,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arcs", required=True, help="arcs per sector (one integer, or a,b,c)")
     p.set_defaults(fn=_cmd_complement)
 
-    p = sub.add_parser("plan", parents=[common], help="emit a torus-surgery block plan")
+    p = sub.add_parser("plan", parents=[common], intermixed=True,
+                       help="emit a torus-surgery block plan")
     p.add_argument("kind", choices=("luttinger", "log", "general"))
     p.add_argument("entries", nargs="*", type=int, help="matrix entries (log: 4, general: 9)")
     p.add_argument("--m", type=int, help="luttinger twisting along the first curve")

@@ -11,8 +11,15 @@ t1 ends at n - 1.
 The shape of a reduction is fixed by the word alone: a mu with j lambdas
 before it costs j + 3 moves, so phase one takes 3m + inversions moves, and
 phase two n + 1 more.  The reducers therefore emit their traces and final
-states in closed form; apply_move is the checked engine that replay and
-trace_lines run every move through.
+states in closed form.
+
+_step is the checked move engine: it holds every domain check and
+IllegalMove message and works on the five plain fields (w1, w2, w3, t3,
+t1).  replay and trace_lines run every move through it without building a
+SlideState per move.  apply_move wraps one _step in _trusted_state, which
+skips SlideState's alphabet scan: a move only cuts, joins and reorders
+letters of words that were checked when the input state was built.  The
+public SlideState(...) always scans.
 
 Internally letters are "M" and "L"; input accepts the Greek forms too,
 and rendering emits them.
@@ -69,17 +76,30 @@ class SlideState(Record):
         for w in (w1, w2, w3):
             if not _in_alphabet(w):
                 raise MalformedWord(f"word {w!r} contains letters outside the alphabet")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "w3", w3)
-        object.__setattr__(self, "t3", t3)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "target", target)
+        _fill_state(self, w1, w2, w3, t3, t1, target)
 
     def counts(self) -> Tuple[int, int]:
         """(mu letters, lambda letters) across all three words."""
         whole = self.w1 + self.w2 + self.w3
         return whole.count(MU), whole.count(LAM)
+
+
+def _fill_state(s: SlideState, w1, w2, w3, t3, t1, target) -> None:
+    object.__setattr__(s, "w1", w1)
+    object.__setattr__(s, "w2", w2)
+    object.__setattr__(s, "w3", w3)
+    object.__setattr__(s, "t3", t3)
+    object.__setattr__(s, "t1", t1)
+    object.__setattr__(s, "target", target)
+
+
+def _trusted_state(w1: str, w2: str, w3: str, t3: int, t1: int,
+                   target: Tuple[int, int]) -> SlideState:
+    """A SlideState without the alphabet scan of SlideState(...): only for
+    words cut, joined or reordered from words already checked."""
+    s = object.__new__(SlideState)
+    _fill_state(s, w1, w2, w3, t3, t1, target)
+    return s
 
 
 def initial_state(w3: str) -> SlideState:
@@ -148,43 +168,49 @@ def _illegal(mv: SlideMove, why: str) -> IllegalMove:
     return IllegalMove(f"{mv}: {why} [{mv.anchor}]")
 
 
-def apply_move(s: SlideState, mv: SlideMove) -> SlideState:
-    """One slide move; raises IllegalMove when the state is outside its
-    domain.  After the two w2-front moves, a leading mu of w2 hops to the
-    empty w1 (an isotopy, not a move of its own)."""
-    w1, w2, w3, t3, t1 = s.w1, s.w2, s.w3, s.t3, s.t1
-    if mv.kind == "ExtendB1":
-        count = mv.arg
-        if count < 1 or count > len(w3):
-            raise _illegal(mv, f"w3 = {w3!r} has no prefix of length {count}")
-        w2, w3 = w2 + w3[:count], w3[count:]
-    elif mv.kind == "CommuteLambdaMu":
+def _step(mv: SlideMove, w1: str, w2: str, w3: str, t3: int, t1: int) -> tuple:
+    """One slide move on the plain fields (w1, w2, w3, t3, t1): every
+    domain check and IllegalMove message of apply_move.  After the two
+    w2-front moves, a leading mu of w2 hops to the empty w1 (an isotopy,
+    not a move of its own)."""
+    kind = mv.kind
+    if kind == "CommuteLambdaMu":  # the most frequent move of a reduction
         pos = mv.arg
         if pos < 0 or pos + 1 >= len(w2) or w2[pos] != LAM or w2[pos + 1] != MU:
             raise _illegal(mv, f"w2 = {w2!r} has no lambda-mu pair at {pos}")
         w2 = w2[:pos] + MU + LAM + w2[pos + 2:]
-    elif mv.kind == "SlideA1OverAlpha":
+    elif kind == "ExtendB1":
+        count = mv.arg
+        if count < 1 or count > len(w3):
+            raise _illegal(mv, f"w3 = {w3!r} has no prefix of length {count}")
+        w2, w3 = w2 + w3[:count], w3[count:]
+    elif kind == "SlideA1OverAlpha":
         if w1 != MU:
             raise _illegal(mv, f"w1 = {w1!r}, need a lone mu")
-        w1, t3 = "", t3 + 1
-    elif mv.kind == "ShrinkA2":
+        return "", w2, w3, t3 + 1, t1
+    elif kind == "ShrinkA2":
         if w1 != "":
             raise _illegal(mv, "a1 still crosses something (w1 nonempty)")
         if MU in w2:
             raise _illegal(mv, f"w2 = {w2!r} is not a lambda run")
-        w2, w3 = "", w2 + w3
-    elif mv.kind == "SlideA2OverBeta":
+        return w1, "", w2 + w3, t3, t1
+    else:  # SlideA2OverBeta
         if w1 != "" or w3 != "":
             raise _illegal(mv, "w1 and w3 must be empty")
         if len(w2) < 1 or MU in w2:
             raise _illegal(mv, f"w2 = {w2!r} is not a nonempty lambda run")
         if len(w2) >= 2:
-            w2, t1 = w2[1:], t1 + 1
-        else:
-            w2 = ""  # terminal lambda: absorbed, no twist
-    if mv.kind in ("ExtendB1", "CommuteLambdaMu") and w1 == "" and w2.startswith(MU):
-        w1, w2 = MU, w2[1:]
-    return SlideState(w1, w2, w3, t3, t1, s.target)
+            return w1, w2[1:], w3, t3, t1 + 1
+        return w1, "", w3, t3, t1  # terminal lambda: absorbed, no twist
+    if w1 == "" and w2.startswith(MU):
+        return MU, w2[1:], w3, t3, t1
+    return w1, w2, w3, t3, t1
+
+
+def apply_move(s: SlideState, mv: SlideMove) -> SlideState:
+    """One slide move; raises IllegalMove when the state is outside its
+    domain."""
+    return _trusted_state(*_step(mv, s.w1, s.w2, s.w3, s.t3, s.t1), s.target)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +247,7 @@ def reduce_mu(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
         trace.append(SlideMove("ExtendB1", j + 1))
         trace += back_to_front[n - j:]
         trace += _CLOSE_MU_CYCLE
-    return SlideState("", "", LAM * n, m, 0, s.target), trace
+    return _trusted_state("", "", LAM * n, m, 0, s.target), trace
 
 
 def reduce_full(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
@@ -235,14 +261,14 @@ def reduce_full(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
     _, trace = reduce_mu(s)
     trace.append(SlideMove("ExtendB1", n))
     trace += [_SLIDE_A2] * n
-    return SlideState("", "", "", m, n - 1, s.target), trace
+    return _trusted_state("", "", "", m, n - 1, s.target), trace
 
 
 def replay(initial: SlideState, trace: List[SlideMove]) -> SlideState:
-    s = initial
+    fields = initial.w1, initial.w2, initial.w3, initial.t3, initial.t1
     for mv in trace:
-        s = apply_move(s, mv)
-    return s
+        fields = _step(mv, *fields)
+    return _trusted_state(*fields, initial.target)
 
 
 def format_state(s: SlideState) -> str:
@@ -251,10 +277,16 @@ def format_state(s: SlideState) -> str:
 
 
 def trace_lines(initial: SlideState, trace: List[SlideMove]) -> List[str]:
-    """One line per move in the documented `MOVE <kind> | state` shape."""
+    """One line per move in the documented `MOVE <kind> | state` shape,
+    the state printed as format_state prints it."""
+    w1, w2, w3, t3, t1 = initial.w1, initial.w2, initial.w3, initial.t3, initial.t1
+    g1, g3 = _greek(w1), _greek(w3)
     out = []
-    s = initial
     for mv in trace:
-        s = apply_move(s, mv)
-        out.append(f"MOVE {mv} | {format_state(s)}")
+        n1, w2, n3, t3, t1 = _step(mv, w1, w2, w3, t3, t1)
+        if n1 is not w1:
+            w1, g1 = n1, _greek(n1)
+        if n3 is not w3:  # only ExtendB1 and ShrinkA2 change w3
+            w3, g3 = n3, _greek(n3)
+        out.append(f"MOVE {mv} | w1={g1} w2={_greek(w2)} w3={g3} t3={t3} t1={t1}")
     return out

@@ -407,6 +407,125 @@ class TestBlockProduct:
                 assert shear_block(b.shear) == b
 
 
+_REFERENCE_TOKENS = {"COMPLEMENT": "complement", "TAU0": "tau0", "TAU12": "tau12",
+                     "TAU23": "tau23", "TAU31": "tau31", "TAUEMPTY": "tauempty"}
+
+
+def reference_parse_plan(text):
+    """The plan parser as first written: every line split, converted and
+    checked, every block built anew."""
+    blocks = []
+    stated = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if stated is not None:
+            raise DiagramError(f"line {lineno}: content after COMPOSITE")
+        tokens = line.split()
+        word = tokens[0]
+        if word == "SHEAR":
+            if len(tokens) != 5:
+                raise DiagramError(f"line {lineno}: SHEAR needs 4 integers")
+            try:
+                p, q, r, s = (int(t) for t in tokens[1:])
+            except ValueError:
+                raise DiagramError(f"line {lineno}: SHEAR needs integers") from None
+            blocks.append(shear_block(((p, q), (r, s))))
+        elif word == "COMPOSITE":
+            if len(tokens) != 10:
+                raise DiagramError(f"line {lineno}: COMPOSITE needs 9 integers")
+            try:
+                vals = [int(t) for t in tokens[1:]]
+            except ValueError:
+                raise DiagramError(f"line {lineno}: COMPOSITE needs integers") from None
+            stated = [vals[0:3], vals[3:6], vals[6:9]]
+        elif word in _REFERENCE_TOKENS:
+            if len(tokens) != 1:
+                raise DiagramError(f"line {lineno}: {word} takes no arguments")
+            blocks.append(PlanBlock(_REFERENCE_TOKENS[word]))
+        else:
+            raise DiagramError(f"line {lineno}: unknown block {word!r}")
+    if stated is None:
+        raise DiagramError("plan has no COMPOSITE line")
+    return SurgeryPlan(tuple(blocks), stated)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (DiagramError, NotSL2) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def sl3_plan_texts(draw):
+    """serialize_plan of surgery_plan_general of a random SL3 matrix."""
+    kinds = ["s12", "s23", "s31", "s12i", "s23i", "s31i", "e"]
+    m = identity(3)
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
+        g = Gen(kind, draw(st.integers(-6, 6))) if kind == "e" else Gen(kind)
+        m = mat_mul(m, gen_matrix(g))
+    return serialize_plan(surgery_plan_general(m))
+
+
+# edits of one line of a good plan text; some keep it good, most break it
+LINE_EDITS = (
+    lambda line: "  " + line + "\t",   # padding
+    lambda line: line + "\n" + line,    # the line repeated
+    lambda line: line + "\n\n",        # a blank line after it
+    lambda line: line + " x",           # an extra token
+    lambda line: line.replace("1", "2", 1),
+    lambda line: line.replace("0", "1", 1),
+    lambda line: line.rsplit(" ", 1)[0],
+    lambda line: line.lower(),
+    lambda line: "",
+)
+
+
+class TestParsePlanAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(sl3_plan_texts())
+    def test_random_general_plans(self, text):
+        plan = parse_plan(text)
+        assert plan == reference_parse_plan(text)
+        assert serialize_plan(plan) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(sl3_plan_texts(), st.data())
+    def test_edited_plans_same_plan_or_message(self, text, data):
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(LINE_EDITS))
+        lines[i] = edit(lines[i])
+        edited = "\n".join(lines) + "\n"
+        assert parse_outcome(parse_plan, edited) == parse_outcome(reference_parse_plan, edited)
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("TAU31\nTAU31 x\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n",
+         DiagramError, "line 2: TAU31 takes no arguments"),
+        ("SHEAR 1 1 0 1\nSHEAR 1 1 1 1\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n",
+         NotSL2, "shear payload must have determinant 1, got 0"),
+        ("SHEAR 1 1 0 1\nSHEAR 1 1 0\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n",
+         DiagramError, "line 2: SHEAR needs 4 integers"),
+        ("TAU0\nCOMPOSITE 1 0 0 0 1 0 0 0 1\nTAU0\n",
+         DiagramError, "line 3: content after COMPOSITE"),
+        ("SHEAR 1 1 0 1\nCOMPOSITE 1 1 0 0 1 0 0 0 1\n\nSHEAR 1 1 0 1\n",
+         DiagramError, "line 4: content after COMPOSITE"),
+    ])
+    def test_bad_line_after_good_line_with_same_token(self, text, error, message):
+        for parse in (parse_plan, reference_parse_plan):
+            with pytest.raises(error) as err:
+                parse(text)
+            assert type(err.value) is error and str(err.value) == message
+
+    def test_padded_repeats_parse_alike(self):
+        plain = "TAU12\nSHEAR 1 2 0 1\nSHEAR 1 2 0 1\nTAU12\nCOMPOSITE 1 0 0 4 1 0 0 0 1\n"
+        padded = ("  TAU12\n\nSHEAR 1 2 0 1\t\n   SHEAR 1 2 0 1\n\n"
+                  "TAU12   \n  COMPOSITE 1 0 0 4 1 0 0 0 1\n\n")
+        assert parse_plan(padded) == parse_plan(plain) == reference_parse_plan(plain)
+
+
 class TestPlanSerialization:
     def test_round_trip(self):
         for plan in [

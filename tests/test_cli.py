@@ -170,6 +170,99 @@ class TestVerbs:
         assert "t3=4" in lines[-2]
 
 
+# `trisect slide reduce-mu --w3 MMLML` (the README example), pinned as printed
+SLIDE_MOVES = [
+    "ExtendB1(1)", "SlideA1OverAlpha", "ShrinkA2",
+    "ExtendB1(1)", "SlideA1OverAlpha", "ShrinkA2",
+    "ExtendB1(2)", "CommuteLambdaMu(0)", "SlideA1OverAlpha", "ShrinkA2",
+]
+SLIDE_TRACE = [
+    "MOVE ExtendB1(1) | w1=μ w2= w3=μλμλ t3=0 t1=0",
+    "MOVE SlideA1OverAlpha | w1= w2= w3=μλμλ t3=1 t1=0",
+    "MOVE ShrinkA2 | w1= w2= w3=μλμλ t3=1 t1=0",
+    "MOVE ExtendB1(1) | w1=μ w2= w3=λμλ t3=1 t1=0",
+    "MOVE SlideA1OverAlpha | w1= w2= w3=λμλ t3=2 t1=0",
+    "MOVE ShrinkA2 | w1= w2= w3=λμλ t3=2 t1=0",
+    "MOVE ExtendB1(2) | w1= w2=λμ w3=λ t3=2 t1=0",
+    "MOVE CommuteLambdaMu(0) | w1=μ w2=λ w3=λ t3=2 t1=0",
+    "MOVE SlideA1OverAlpha | w1= w2=λ w3=λ t3=3 t1=0",
+    "MOVE ShrinkA2 | w1= w2= w3=λλ t3=3 t1=0",
+]
+SLIDE_FINAL = {"w1": "", "w2": "", "w3": "λλ", "t3": 3, "t1": 0}
+
+
+class TestSlideOutput:
+    def test_plain(self, run):
+        code, out, err = run("slide", "reduce-mu", "--w3", "MMLML")
+        assert (code, err) == (0, "")
+        assert out == "w1= w2= w3=λλ t3=3 t1=0\nmoves: 10\n"
+
+    def test_trace(self, run):
+        code, out, _ = run("slide", "reduce-mu", "--w3", "MMLML", "--trace")
+        assert code == 0
+        assert out == "\n".join(SLIDE_TRACE + ["w1= w2= w3=λλ t3=3 t1=0", "moves: 10"]) + "\n"
+
+    def test_json(self, run):
+        code, out, _ = run("slide", "reduce-mu", "--w3", "MMLML", "--json")
+        assert code == 0
+        doc = {"final": SLIDE_FINAL, "moves": SLIDE_MOVES}
+        assert out == json.dumps(doc, indent=1) + "\n"
+
+    def test_json_trace(self, run):
+        code, out, _ = run("slide", "reduce-mu", "--w3", "MMLML", "--trace", "--json")
+        assert code == 0
+        doc = {"final": SLIDE_FINAL, "moves": SLIDE_MOVES, "trace": SLIDE_TRACE}
+        assert out == json.dumps(doc, indent=1) + "\n"
+
+
+PLAN_ENTRIES = {
+    "general": ("1", "-5", "0", "0", "1", "0", "0", "0", "1"),
+    "log": ("0", "1", "-1", "5"),
+}
+
+
+class TestPlanOptionsAnywhere:
+    """Options after the plan kind, before, between or after the matrix
+    entries, print what they print before the kind."""
+
+    @pytest.mark.parametrize("kind", sorted(PLAN_ENTRIES))
+    def test_json_at_every_position(self, run, kind):
+        entries = list(PLAN_ENTRIES[kind])
+        expect = run("plan", "--json", kind, *entries)
+        assert expect[0] == 0 and json.loads(expect[1])["blocks"]
+        for i in range(len(entries) + 1):
+            assert run("plan", kind, *entries[:i], "--json", *entries[i:]) == expect, i
+
+    @pytest.mark.parametrize("argv", [
+        ("luttinger", "--m", "3", "--n", "-2"),
+        ("luttinger", "--n", "-2", "--m", "3"),
+        ("luttinger", "--m", "3", "--json", "--n", "-2"),
+        ("luttinger", "--json", "--m", "3", "--n", "-2"),
+    ])
+    def test_luttinger_options_after_kind(self, run, argv):
+        as_json = "--json" in argv
+        expect = run("plan", *(("--json",) if as_json else ()), "--m", "3", "--n", "-2",
+                     "luttinger")
+        assert expect[0] == 0
+        assert run("plan", *argv) == expect
+        if not as_json:
+            assert expect[1].splitlines()[3] == "SHEAR 1 3 0 1"
+            assert expect[1].splitlines()[-1] == "COMPOSITE 1 0 3 0 1 -2 0 0 1"
+
+    def test_negative_entry(self, run):
+        code, out, err = run("plan", "general", *PLAN_ENTRIES["general"])
+        assert (code, err) == (0, "")
+        assert out == "COMPLEMENT\nTAU0\nSHEAR 1 -5 0 1\nTAUEMPTY\nCOMPOSITE 1 -5 0 0 1 0 0 0 1\n"
+
+    def test_entries_after_options_still_checked(self, run):
+        code, out, err = run("plan", "log", "--json", "1", "1", "x", "1")
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "invalid int value: 'x'" in err
+        code, out, err = run("plan", "luttinger", "--m", "1", "--n", "2", "--json", "7")
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "--m and --n only" in err
+
+
 class TestJson:
     def test_round_trip_farey(self, run):
         code, out, _ = run("farey-classify", "1/1", "1/2", "2/3", "--qx", "--json")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 
 from trisect.errors import IllegalMove, MalformedWord, NotApplicable
 from trisect.slides import (
+    MOVE_KINDS,
     SlideMove,
     SlideState,
     apply_move,
+    format_state,
     initial_state,
     lambda_conserved,
     mu_conserved,
@@ -29,6 +33,68 @@ def inversions(word):
         else:
             total += lams
     return total
+
+
+def reference_apply_move(s, mv):
+    """The move engine as first written: one checked SlideState(...) per
+    move, so every word is scanned against the alphabet again."""
+    w1, w2, w3, t3, t1 = s.w1, s.w2, s.w3, s.t3, s.t1
+
+    def illegal(why):
+        return IllegalMove(f"{mv}: {why} [{mv.anchor}]")
+
+    if mv.kind == "ExtendB1":
+        count = mv.arg
+        if count < 1 or count > len(w3):
+            raise illegal(f"w3 = {w3!r} has no prefix of length {count}")
+        w2, w3 = w2 + w3[:count], w3[count:]
+    elif mv.kind == "CommuteLambdaMu":
+        pos = mv.arg
+        if pos < 0 or pos + 1 >= len(w2) or w2[pos] != "L" or w2[pos + 1] != "M":
+            raise illegal(f"w2 = {w2!r} has no lambda-mu pair at {pos}")
+        w2 = w2[:pos] + "ML" + w2[pos + 2:]
+    elif mv.kind == "SlideA1OverAlpha":
+        if w1 != "M":
+            raise illegal(f"w1 = {w1!r}, need a lone mu")
+        w1, t3 = "", t3 + 1
+    elif mv.kind == "ShrinkA2":
+        if w1 != "":
+            raise illegal("a1 still crosses something (w1 nonempty)")
+        if "M" in w2:
+            raise illegal(f"w2 = {w2!r} is not a lambda run")
+        w2, w3 = "", w2 + w3
+    elif mv.kind == "SlideA2OverBeta":
+        if w1 != "" or w3 != "":
+            raise illegal("w1 and w3 must be empty")
+        if len(w2) < 1 or "M" in w2:
+            raise illegal(f"w2 = {w2!r} is not a nonempty lambda run")
+        if len(w2) >= 2:
+            w2, t1 = w2[1:], t1 + 1
+        else:
+            w2 = ""
+    if mv.kind in ("ExtendB1", "CommuteLambdaMu") and w1 == "" and w2.startswith("M"):
+        w1, w2 = "M", w2[1:]
+    return SlideState(w1, w2, w3, t3, t1, s.target)
+
+
+def reference_trace_lines(initial, trace):
+    out = []
+    s = initial
+    for mv in trace:
+        s = reference_apply_move(s, mv)
+        out.append(f"MOVE {mv} | {format_state(s)}")
+    return out
+
+
+def fields(s):
+    return (s.w1, s.w2, s.w3, s.t3, s.t1, s.target)
+
+
+def _states(s, trace):
+    """Every state apply_move passes through along a trace."""
+    for mv in trace:
+        s = apply_move(s, mv)
+        yield s
 
 
 def stepwise_reduce_mu(s):
@@ -97,6 +163,23 @@ class TestStateAndWords:
         assert mu_conserved(s) and lambda_conserved(s)
 
 
+# (state, move) -> why the move is refused, as its IllegalMove message says
+ILLEGAL_MOVES = {
+    (SlideState("", "", "", 0, 0, (0, 0)), SlideMove("ExtendB1", 1)):
+        "w3 = '' has no prefix of length 1",
+    (SlideState("", "ML", "", 0, 0, (1, 1)), SlideMove("CommuteLambdaMu", 0)):
+        "w2 = 'ML' has no lambda-mu pair at 0",
+    (SlideState("", "", "", 0, 0, (0, 0)), SlideMove("SlideA1OverAlpha")):
+        "w1 = '', need a lone mu",
+    (SlideState("M", "LL", "", 0, 0, (1, 2)), SlideMove("ShrinkA2")):
+        "a1 still crosses something (w1 nonempty)",
+    (SlideState("", "ML", "", 0, 0, (1, 1)), SlideMove("SlideA2OverBeta")):
+        "w2 = 'ML' is not a nonempty lambda run",
+    (SlideState("", "", "L", 0, 0, (0, 1)), SlideMove("SlideA2OverBeta")):
+        "w1 and w3 must be empty",
+}
+
+
 class TestMoves:
     def test_commute_rewrites(self):
         # with a1 occupied the mu stays in w2
@@ -140,17 +223,14 @@ class TestMoves:
         out = apply_move(s, SlideMove("SlideA2OverBeta"))
         assert (out.w2, out.t1) == ("", 0)
 
-    @pytest.mark.parametrize("state,move", [
-        (SlideState("", "", "", 0, 0, (0, 0)), SlideMove("ExtendB1", 1)),
-        (SlideState("", "ML", "", 0, 0, (1, 1)), SlideMove("CommuteLambdaMu", 0)),
-        (SlideState("", "", "", 0, 0, (0, 0)), SlideMove("SlideA1OverAlpha")),
-        (SlideState("M", "LL", "", 0, 0, (1, 2)), SlideMove("ShrinkA2")),
-        (SlideState("", "ML", "", 0, 0, (1, 1)), SlideMove("SlideA2OverBeta")),
-        (SlideState("", "", "L", 0, 0, (0, 1)), SlideMove("SlideA2OverBeta")),
-    ])
+    @pytest.mark.parametrize("state,move", list(ILLEGAL_MOVES))
     def test_illegal_moves(self, state, move):
-        with pytest.raises(IllegalMove):
+        with pytest.raises(IllegalMove) as err:
             apply_move(state, move)
+        assert str(err.value) == f"{move}: {ILLEGAL_MOVES[state, move]} [{move.anchor}]"
+        with pytest.raises(IllegalMove) as in_replay:
+            replay(state, [move])
+        assert str(in_replay.value) == str(err.value)
 
     def test_illegal_move_message_names_anchor(self):
         with pytest.raises(IllegalMove, match="slide a1 across the alpha curve"):
@@ -268,7 +348,7 @@ class TestClosedFormAgainstStepwise:
         ref_final, ref_trace = stepwise_reduce_mu(s)
         assert final == ref_final
         assert trace == ref_trace
-        assert trace_lines(s, trace) == trace_lines(s, ref_trace)
+        assert trace_lines(s, trace) == reference_trace_lines(s, ref_trace)
 
     @settings(max_examples=25, deadline=None)
     @given(words())
@@ -282,12 +362,67 @@ class TestClosedFormAgainstStepwise:
         ref_final, ref_trace = stepwise_reduce_full(s)
         assert final == ref_final
         assert trace == ref_trace
-        assert trace_lines(s, trace) == trace_lines(s, ref_trace)
+        assert trace_lines(s, trace) == reference_trace_lines(s, ref_trace)
 
     def test_errors_checked_before_applicability(self):
         # a non-initial state is refused as malformed even without lambdas
         with pytest.raises(MalformedWord):
             reduce_full(SlideState("M", "", "", 0, 0, (1, 0)))
+
+
+class TestEngineAgainstReference:
+    """The field-stepping engine against the engine as first written,
+    which rebuilt and re-checked a SlideState after every move."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(words(), st.booleans())
+    def test_trace_lines(self, word, full):
+        s = initial_state(word)
+        if full and s.target[1] == 0:
+            return
+        final, trace = (reduce_full if full else reduce_mu)(s)
+        assert trace_lines(s, trace) == reference_trace_lines(s, trace)
+        assert replay(s, trace) == final
+
+    @settings(max_examples=25, deadline=None)
+    @given(words(max_len=60), st.booleans())
+    def test_states_equal_checked_construction(self, word, full):
+        s = initial_state(word)
+        if full and s.target[1] == 0:
+            return
+        _, trace = (reduce_full if full else reduce_mu)(s)
+        for t in _states(s, trace):
+            checked = SlideState(*fields(t))
+            assert t == checked and hash(t) == hash(checked)
+            assert copy.copy(t) == t and copy.deepcopy(t) == t
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and hash(back) == hash(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words(max_len=12), st.data())
+    def test_any_move_from_any_reachable_state(self, word, data):
+        # legal or not, apply_move gives the reference's state or message
+        s = initial_state(word)
+        _, trace = (reduce_full if s.target[1] else reduce_mu)(s)
+        states = [s] + list(_states(s, trace))
+        state = data.draw(st.sampled_from(states))
+        kind = data.draw(st.sampled_from(MOVE_KINDS))
+        arg = (data.draw(st.integers(-1, len(word) + 1))
+               if kind in ("ExtendB1", "CommuteLambdaMu") else None)
+        mv = SlideMove(kind, arg)
+        try:
+            expect = reference_apply_move(state, mv)
+        except IllegalMove as e:
+            with pytest.raises(IllegalMove) as err:
+                apply_move(state, mv)
+            assert str(err.value) == str(e)
+        else:
+            got = apply_move(state, mv)
+            assert fields(got) == fields(expect)
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(MalformedWord):
+            SlideState("", "", "MX", 0, 0, (1, 0))
 
 
 class TestTraceFormat:
