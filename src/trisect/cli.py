@@ -5,10 +5,11 @@ counts, Farey classification and the atlas table, parameter arithmetic
 (pasting, fiber sums, destabilization, poking, curve complements),
 surgery plans, and the genus-one slide reducer.
 
-Exit codes: 0 success, 1 invalid input (parse or validation failures),
-2 operation precondition failures (not unimodular, cannot destabilize,
-form undefined, and so on).  Output is plain text by default and JSON
-with --json; both are deterministic for a given input.
+Exit codes: 0 success, 1 invalid input (parse or validation failures)
+or a stdout closed early, 2 operation precondition failures (not
+unimodular, cannot destabilize, form undefined, and so on).  Output is
+plain text by default and JSON with --json; both are deterministic for a
+given input.
 """
 
 import argparse
@@ -429,13 +430,22 @@ def _error_line(e: TrisectError) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except DiagramError as e:
         print(_error_line(e), file=sys.stderr)
         return 1
     except TrisectError as e:
         print(_error_line(e), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`trisect ... | head -1`); what is
+        # still buffered goes to devnull, or the flush at exit raises again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

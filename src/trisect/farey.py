@@ -6,14 +6,26 @@ neighbors when |ad - bc| = 1.  A triple with all pairwise distances in
 {-1, 0, 1} determines a closed 4-manifold, classified here through the
 symmetric form of the triple (three distinct fractions), a parity rule
 (two distinct), or a spun lens space (all equal).
+
+Classification runs no elimination.  Indefinite unimodular forms are fixed
+by rank, signature and parity (Serre, A Course in Arithmetic, ch. V).
+Both shapes of qx start with the block [[A, -1], [-1, 0]], of determinant
+-1 and so indefinite.  Two distinct fractions give that block alone, with
+A = +-bd: even_indefinite (1,) when bd is even, odd_indefinite (1, 1) when
+it is odd.  Three distinct fractions give det qx = -C for the corner
+C = qx[2][2], whose factors and divisor are Farey distances, so C = +-1 and
+the form is odd.  The block holds one negative direction, so det -1
+(C = 1) leaves one negative eigenvalue in all, odd_indefinite (2, 1), and
+det +1 (C = -1) two, odd_indefinite (1, 2).  `zmatrix.classify_unimodular`
+of `qx` is the reference.
 """
 
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ._record import Record
 from .diagram import CurveSystem, Fraction, StarDiagram, dmet
-from .errors import FormUndefined, NotNeighbors
-from .zmatrix import FormClass, IntMatrix, classify_unimodular
+from .errors import FormUndefined, NotNeighbors, NotUnimodular
+from .zmatrix import FormClass, IntMatrix
 
 KIND_INVALID = "Invalid"
 KIND_ALL_EQUAL = "AllEqual"
@@ -26,6 +38,13 @@ CP2_MINUS = "CP2#CP2bar#CP2bar"  # signature -1
 # sphere bundles over the sphere (two distinct fractions)
 S2XS2 = "S2xS2"
 S2TWS2 = "S2x~S2"   # the twisted bundle
+
+# the only form classes a valid triple has
+_ZERO = FormClass("zero")
+_EVEN_1 = FormClass("even_indefinite", (1,))
+_ODD_11 = FormClass("odd_indefinite", (1, 1))
+_ODD_21 = FormClass("odd_indefinite", (2, 1))
+_ODD_12 = FormClass("odd_indefinite", (1, 2))
 
 
 class SpunLens(Record):
@@ -137,27 +156,37 @@ def qx(t: FareyTriple) -> IntMatrix:
 
 
 def classify(t: FareyTriple) -> FareyClassification:
-    """Closed 4-manifold of the triple per the Farey trichotomy."""
+    """Closed 4-manifold of the triple per the Farey trichotomy.
+
+    The form class is read off integers with no elimination, by the
+    argument of the module docstring: the parity of bd for two distinct
+    fractions, and the corner C = qx[2][2] = -det qx of the sorted triplet
+    (C = 1: odd_indefinite (2, 1); C = -1: (1, 2)).  A corner other than
+    +-1 would raise NotUnimodular, as `classify_unimodular` does.
+    """
     kind = triple_kind(t)
     if kind == KIND_INVALID:
         return FareyClassification(kind, None, None, None)
     if kind == KIND_ALL_EQUAL:
         f = t.x  # fraction q/p spins L(p, q)
-        return FareyClassification(kind, SpunLens(f.den, f.num), None, classify_unimodular([]))
+        return FareyClassification(kind, SpunLens(f.den, f.num), None, _ZERO)
     if kind == KIND_TWO_DISTINCT:
-        form = classify_unimodular(qx(t))
         lone, repeated = _two_distinct_split(t)
-        bundle = S2XS2 if (lone.den * repeated.den) % 2 == 0 else S2TWS2
-        return FareyClassification(kind, bundle, ("S4", bundle), form)
+        if (lone.den * repeated.den) % 2 == 0:
+            return FareyClassification(kind, S2XS2, ("S4", S2XS2), _EVEN_1)
+        return FareyClassification(kind, S2TWS2, ("S4", S2TWS2), _ODD_11)
     # an odd permutation of the triple reverses orientation and flips the
     # signature of qx; classification fixes the sorted order as canonical
-    canon = FareyTriple(*sorted(t, key=lambda f: (f.den, f.num)))
-    # the triplet form is odd, indefinite and of signature +-1, so it is
-    # odd_indefinite (2, 1) (signature +1) or (1, 2) (signature -1)
-    form = classify_unimodular(qx(canon))
-    if form.params == (2, 1):
-        return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), form)
-    return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), form)
+    x, y, z = sorted(t, key=lambda f: (f.den, f.num))
+    a, b = x.num, x.den
+    c, d = y.num, y.den
+    p, q = z.num, z.den
+    corner = _exact((b * p - a * q) * (c * q - d * p), b * c - a * d)  # qx[2][2]
+    if corner == 1:
+        return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
+    if corner == -1:
+        return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
+    raise NotUnimodular(f"form determinant is {-corner}, need +-1")
 
 
 def mediants(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
@@ -220,8 +249,9 @@ def atlas_rows(max_den: int) -> Iterator[Dict[str, object]]:
     refined name, and the form invariants (the all-equal empty form
     reports rank 0, signature 0, parity Even, det 1).
 
-    The invariants are read off the form class `classify` found, with no
-    second elimination: odd_indefinite (p, m) has rank p + m, signature
+    Nothing is eliminated: `classify` reads the form class off integers
+    (the det -C argument of the module docstring), and the invariants are
+    read off that class: odd_indefinite (p, m) has rank p + m, signature
     p - m, parity Odd and det (-1)^m; even_indefinite (h,) has rank 2h,
     signature 0, parity Even and det (-1)^h.  Triplets and two-distinct
     triples have no other form classes."""

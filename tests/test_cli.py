@@ -389,3 +389,57 @@ def test_import_leaves_unused_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.split() == []
+
+
+def test_farey_verbs_leave_fractions_unloaded():
+    # classify reads the form class off integers, so neither farey verb
+    # loads the Fraction elimination's modules
+    code = (
+        "import contextlib, io, sys\n"
+        "from trisect.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['farey-classify', '1/1', '1/2', '2/3']) == 0\n"
+        "    assert main(['farey-atlas', '--max-den', '6']) == 0\n"
+        "print(*[m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(trisect.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []
+
+
+def _cli_process(argv, stdout):
+    src = os.path.dirname(os.path.dirname(trisect.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "trisect.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_stdout_closed_after_one_line():
+    # `trisect farey-atlas | head -1`: the output (about 390 kB) is far
+    # larger than a pipe holds, so the verb is still writing when the
+    # reader goes away
+    proc = _cli_process(["farey-atlas", "--max-den", "30"], subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert first == "triple,kind,manifold,refined,rank,signature,parity,det\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_stdout_closed_before_a_short_output(unbuffered, monkeypatch):
+    # buffered, the few lines wait for the flush, which must fail inside
+    # main and not at exit; unbuffered, the first print fails
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _cli_process(["plan", "luttinger", "--m", "3", "--n", "-2"], w)
+    finally:
+        os.close(w)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

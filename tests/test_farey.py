@@ -1,6 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisect.diagram import Fraction, parse_fraction, validate_cut_system
 from trisect.errors import DiagramError, FormUndefined, NotNeighbors
@@ -9,6 +12,7 @@ from trisect.farey import (
     CP2_PLUS,
     S2TWS2,
     S2XS2,
+    FareyClassification,
     FareyTriple,
     SpunLens,
     atlas_rows,
@@ -22,7 +26,7 @@ from trisect.farey import (
     triple_kind,
 )
 from trisect.invariants import first_homology
-from trisect.zmatrix import determinant, sym_form_invariants
+from trisect.zmatrix import classify_unimodular, determinant, sym_form_invariants
 
 
 def F(text):
@@ -147,6 +151,76 @@ class TestClassify:
             assert cls.manifold == (CP2_PLUS if signature == 1 else CP2_MINUS)
             seen.add(signature)
         assert seen == {1, -1}
+
+
+def reference_classify(t):
+    """`classify` as it was before the closed form: eliminate qx."""
+    kind = triple_kind(t)
+    if kind == "Invalid":
+        return FareyClassification(kind, None, None, None)
+    if kind == "AllEqual":
+        return FareyClassification(kind, SpunLens(t.x.den, t.x.num), None, classify_unimodular([]))
+    if kind == "TwoDistinct":
+        form = classify_unimodular(qx(t))
+        counts = Counter(t)
+        lone, repeated = sorted(counts, key=counts.__getitem__)
+        bundle = S2XS2 if (lone.den * repeated.den) % 2 == 0 else S2TWS2
+        return FareyClassification(kind, bundle, ("S4", bundle), form)
+    canon = FareyTriple(*sorted(t, key=lambda f: (f.den, f.num)))
+    form = classify_unimodular(qx(canon))
+    if form.params == (2, 1):
+        return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), form)
+    return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), form)
+
+
+def assert_same_classification(t):
+    cls, ref = classify(t), reference_classify(t)
+    assert (cls.kind, cls.manifold, cls.refined, cls.form) == (
+        ref.kind, ref.manifold, ref.refined, ref.form), str(t)
+    return cls
+
+
+@st.composite
+def farey_neighbors(draw):
+    """Fractions x, y at Farey distance +-1 with entries of up to 64 bits:
+    extended Euclid gives ad - bc = 1, then y moves along the neighbors of x."""
+    bound = 2 ** 64
+    x = Fraction.of(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+    a, b = x.num, x.den
+    d = pow(a, -1, b)  # a*d = 1 (mod b)
+    c = (a * d - 1) // b
+    k = draw(st.integers(-bound, bound))
+    return x, Fraction.of(c + k * a, d + k * b)
+
+
+class TestClosedFormAgainstElimination:
+    def test_every_atlas_triple(self):
+        seen = set()
+        for t, cls in enumerate_triples(20):
+            assert_same_classification(t)
+            seen.add((cls.kind, str(cls.form)))
+        assert seen == {
+            ("AllEqual", "zero"),
+            ("TwoDistinct", "even_indefinite(1,)"),
+            ("TwoDistinct", "odd_indefinite(1, 1)"),
+            ("FareyTriplet", "odd_indefinite(2, 1)"),
+            ("FareyTriplet", "odd_indefinite(1, 2)"),
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(farey_neighbors(), st.booleans(), st.booleans(), st.permutations(range(3)))
+    def test_wide_triplets_and_two_distinct(self, pair, plus, two_distinct, order):
+        x, y = pair
+        if two_distinct:
+            third = y
+        elif plus:
+            third = Fraction.of(x.num + y.num, x.den + y.den)
+        else:
+            third = Fraction.of(x.num - y.num, x.den - y.den)
+        fracs = (x, y, third)
+        t = FareyTriple(*(fracs[i] for i in order))
+        cls = assert_same_classification(t)
+        assert cls.kind == ("TwoDistinct" if two_distinct else "FareyTriplet")
 
 
 class TestMediants:
