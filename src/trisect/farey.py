@@ -124,6 +124,14 @@ def _two_distinct_split(t: FareyTriple) -> Tuple[Fraction, Fraction]:
     return lone, repeated
 
 
+def _triplet_corner(x: Fraction, y: Fraction, z: Fraction) -> int:
+    """qx[2][2] of the triplet (x, y, z): (bp-aq)(cq-dp)/(bc-ad)."""
+    a, b = x.num, x.den
+    c, d = y.num, y.den
+    p, q = z.num, z.den
+    return _exact((b * p - a * q) * (c * q - d * p), b * c - a * d)
+
+
 def qx(t: FareyTriple) -> IntMatrix:
     """Symmetric form of the triple's 4-manifold.
 
@@ -145,7 +153,7 @@ def qx(t: FareyTriple) -> IntMatrix:
         return [
             [_exact(b * d, a * d - b * c), -1, off],
             [-1, 0, 0],
-            [off, 0, _exact((b * p - a * q) * (c * q - d * p), b * c - a * d)],
+            [off, 0, _triplet_corner(t.x, t.y, t.z)],
         ]
     if kind == KIND_TWO_DISTINCT:
         lone, repeated = _two_distinct_split(t)
@@ -177,11 +185,7 @@ def classify(t: FareyTriple) -> FareyClassification:
         return FareyClassification(kind, S2TWS2, ("S4", S2TWS2), _ODD_11)
     # an odd permutation of the triple reverses orientation and flips the
     # signature of qx; classification fixes the sorted order as canonical
-    x, y, z = sorted(t, key=lambda f: (f.den, f.num))
-    a, b = x.num, x.den
-    c, d = y.num, y.den
-    p, q = z.num, z.den
-    corner = _exact((b * p - a * q) * (c * q - d * p), b * c - a * d)  # qx[2][2]
+    corner = _triplet_corner(*sorted(t, key=lambda f: (f.den, f.num)))
     if corner == 1:
         return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
     if corner == -1:

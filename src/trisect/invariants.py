@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 from ._record import Record
 from .diagram import StarDiagram, TrisectionParams, diagram_ok, validate_diagram
 from .errors import BoundaryNotSupported, DiagramError
-from .zmatrix import _cokernel_invariants
+from .zmatrix import cokernel_invariants
 
 
 class HomologyReport(Record):
@@ -33,20 +33,16 @@ class HomologyReport(Record):
 
 
 def first_homology(d: StarDiagram) -> HomologyReport:
-    """H1 of the trisected manifold: Z^(2g) / span(alpha + beta + gamma).
-
-    Class entries must be Python ints.  `parse_diagram` checks that, and the
-    Smith kernel does not check it again; a diagram built by hand is trusted.
-    """
+    """H1 of the trisected manifold: Z^(2g) / span(alpha + beta + gamma)."""
     violations = validate_diagram(d)
     if not diagram_ok(violations):
         raise DiagramError(
             "diagram invalid: " + "; ".join(v.message for v in violations if not v.advisory)
         )
     classes = d.all_classes()
-    # columns are curve classes, of the lengths validate_diagram checked
+    # columns are curve classes
     mat = [[vec[row] for vec in classes] for row in range(2 * d.genus)]
-    inv = _cokernel_invariants(mat)
+    inv = cokernel_invariants(mat)
     return HomologyReport(inv.free_rank, inv.torsion)
 
 

@@ -232,11 +232,6 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
     Validates m like `smith_normal_form` does.
     """
     check_int_matrix(m)
-    return _smith_diagonal(m)
-
-
-def _smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
-    """`smith_diagonal` of a matrix its caller knows to be rectangular ints."""
     r, c = dims(m)
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     rows = [row for row in rows if row]
@@ -351,14 +346,7 @@ class CokernelInvariants(Record):
 
 def cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
     """Free rank and torsion factors (>1) of Z^rows / col-span(m)."""
-    check_int_matrix(m)
-    return _cokernel_invariants(m)
-
-
-def _cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
-    """`cokernel_invariants` of a matrix its caller knows to be rectangular
-    ints, with no second check."""
-    diag = _smith_diagonal(m)
+    diag = smith_diagonal(m)
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d > 1)
     return CokernelInvariants(len(m) - rank, torsion)

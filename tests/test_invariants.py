@@ -46,6 +46,12 @@ class TestFirstHomology:
         with pytest.raises(DiagramError):
             first_homology(bad)
 
+    @pytest.mark.parametrize("cls", [(2, 0.5), (2.0, 0), (True, 0)])
+    def test_non_int_class_rejected(self, cls):
+        # a diagram built by hand, not parsed, is checked by the Smith kernel
+        with pytest.raises(ValueError):
+            first_homology(closed_diagram([cls], [(0, 1)], [(0, 1)], 1))
+
 
 class TestEulerAndHandles:
     @pytest.mark.parametrize("lit,chi", [

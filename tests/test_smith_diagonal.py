@@ -99,22 +99,6 @@ class TestRandomMatrices:
         with pytest.raises(ValueError):
             smith_diagonal([[True]])
 
-    def test_cokernel_invariants_validates_input(self):
-        with pytest.raises(ValueError):
-            zmatrix.cokernel_invariants([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            zmatrix.cokernel_invariants([[True]])
-
-    def test_first_homology_checks_no_matrix(self, monkeypatch):
-        # the H1 matrix is built from classes validate_diagram already
-        # checked; the public kernels keep their own check
-        calls = []
-        monkeypatch.setattr(zmatrix, "check_int_matrix", lambda m, name="matrix": calls.append(m))
-        first_homology(farey_homology_model(TRIPLES[0]))
-        assert calls == []
-        zmatrix.cokernel_invariants([[2]])
-        assert calls == [[[2]]]
-
 
 # --- block sums of Farey homology models ----------------------------------
 #
