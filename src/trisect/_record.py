@@ -1,11 +1,18 @@
 """Immutable value classes built without generated code.
 
 Every trisect value type (fractions, curve systems, plan blocks, slide
-states, ...) subclasses `Record`.  A subclass names its fields in
-`__slots__`, in order, and writes its own `__init__`, which validates the
-arguments and stores each field with `object.__setattr__`.  `Record` adds
-what a frozen dataclass would:
+states, ...) subclasses `Record` and names its fields in `__slots__`, in
+order.  From them `Record` derives what a frozen dataclass would have:
 
+- `_store(self, *values)`: sets the fields in slot order through the
+  slot descriptors, the one place a field is ever written;
+- `__init__`, for a class whose body defines none: binds positional and
+  keyword arguments to the fields as a Python signature would, with the
+  defaults in the class's `_defaults` dict, and raises TypeError on a
+  missing, extra, unknown or repeated argument.  A class that checks its
+  fields writes its own `__init__` and ends it with one `_store`;
+- `_trusted(*values)`: `_store` on a bare instance, with no `__init__`
+  and so no checks; only for values derived from values already checked;
 - `__eq__`: the same class and equal field tuples, else NotImplemented;
 - `__hash__`: the hash of the field tuple;
 - `__repr__`: `Name(field=value, ...)`;
@@ -34,6 +41,12 @@ class Record:
             def values(self):
                 return (value(self),)
 
+        setters = tuple(cls.__dict__[name].__set__ for name in names)
+
+        def _store(self, *values):
+            for set_field, v in zip(setters, values):
+                set_field(self, v)
+
         def __eq__(self, other):
             if other.__class__ is self.__class__:
                 return values(self) == values(other)
@@ -42,10 +55,19 @@ class Record:
         def __hash__(self):
             return hash(values(self))
 
+        cls._store = _store
         cls.__eq__ = __eq__
         cls.__hash__ = __hash__
         cls.__match_args__ = names
         cls._values = staticmethod(values)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _init(cls.__name__, names, setters, cls.__dict__.get("_defaults", {}))
+
+    @classmethod
+    def _trusted(cls, *values):
+        self = object.__new__(cls)
+        self._store(*values)
+        return self
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
@@ -59,3 +81,28 @@ class Record:
 
     def __reduce__(self):
         return (type(self), self._values(self))
+
+
+def _init(cls_name, names, setters, defaults):
+    """The __init__ of a class that only stores its fields."""
+
+    def bind(args, kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls_name}() takes {len(names)} arguments, got {len(args)}")
+        for key in kwargs:
+            if key not in names[len(args):]:
+                problem = "multiple values for" if key in names else "an unexpected keyword"
+                raise TypeError(f"{cls_name}() got {problem} argument {key!r}")
+        bound = {**defaults, **dict(zip(names, args)), **kwargs}
+        for name in names:
+            if name not in bound:
+                raise TypeError(f"{cls_name}() missing argument {name!r}")
+        return [bound[name] for name in names]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(setters):
+            args = bind(args, kwargs)
+        for set_field, v in zip(setters, args):
+            set_field(self, v)
+
+    return __init__

@@ -38,7 +38,7 @@ class ClosedPage(Record):
     def __init__(self, page_genus: int):
         if page_genus < 0:
             raise DiagramError("page genus must be >= 0")
-        object.__setattr__(self, "page_genus", page_genus)
+        self._store(page_genus)
 
 
 class BoundaryCircles(Record):
@@ -48,24 +48,17 @@ class BoundaryCircles(Record):
     def __init__(self, circles: int):
         if circles < 1:
             raise CellDecompositionMismatch("boundary-circle pasting needs n >= 1")
-        object.__setattr__(self, "circles", circles)
+        self._store(circles)
 
 
 class PastingInput(Record):
-    __slots__ = ("left", "right", "mode", "common")
+    """Two trisection parameter tuples (TrisectionParams) to glue.
 
-    def __init__(
-        self,
-        left: TrisectionParams,
-        right: TrisectionParams,
-        mode: object,  # ClosedPage | BoundaryCircles
-        # per-sector common-curve counts; only consulted by BoundaryCircles
-        common: Optional[Tuple[int, int, int]] = None,
-    ):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "common", common)
+    mode is a ClosedPage or a BoundaryCircles; common holds per-sector
+    common-curve counts (three ints, default None) and only BoundaryCircles
+    consults it."""
+    __slots__ = ("left", "right", "mode", "common")
+    _defaults = {"common": None}
 
 
 def paste(inp: PastingInput) -> TrisectionParams:
@@ -155,32 +148,17 @@ def poke(d: StarDiagram, counts: Tuple[int, int, int]) -> StarDiagram:
     for name, extra in zip(("alpha", "beta", "gamma"), counts):
         sys = d.system(name)
         systems.append(CurveSystem(name, sys.classes + (zero,) * extra))
-    return StarDiagram(
-        genus=d.genus,
-        boundary=d.boundary + sum(counts),
-        alpha=systems[0],
-        beta=systems[1],
-        gamma=systems[2],
-        common=d.common,
-        geo=d.geo,
-    )
+    return StarDiagram(d.genus, d.boundary + sum(counts), *systems, d.common, d.geo)
 
 
 class ComplementResult(Record):
-    """Bookkeeping for removing a neighborhood of a decomposed curve."""
-    __slots__ = ("params", "punctures", "curves_added", "closure_genus")
+    """Bookkeeping for removing a neighborhood of a decomposed curve.
 
-    def __init__(
-        self,
-        params: TrisectionParams,          # k undetermined; boundary grew by punctures
-        punctures: int,                    # 3a junction punctures
-        curves_added: Tuple[int, int, int],
-        closure_genus: Optional[int],      # genus after gluing a genus-0 filling
-    ):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "punctures", punctures)
-        object.__setattr__(self, "curves_added", curves_added)
-        object.__setattr__(self, "closure_genus", closure_genus)
+    params: TrisectionParams with k undetermined; the boundary grew by
+    punctures.  punctures: the 3a junction punctures.  curves_added: one
+    count per system.  closure_genus: the genus after gluing a genus-0
+    filling, or None."""
+    __slots__ = ("params", "punctures", "curves_added", "closure_genus")
 
 
 def curve_complement(p: TrisectionParams, arcs: Tuple[int, int, int]) -> ComplementResult:
@@ -240,8 +218,7 @@ class RibbonGraph(Record):
         dangling = seen - used
         if dangling:
             raise DiagramError(f"dangling darts with no edge: {sorted(dangling)}")
-        object.__setattr__(self, "rotations", rotations)
-        object.__setattr__(self, "edges", edges)
+        self._store(rotations, edges)
 
     @property
     def vertex_count(self) -> int:
@@ -386,8 +363,7 @@ class PlanBlock(Record):
             raise DiagramError(f"unknown block kind {kind!r}")
         if (kind == "shear") != (shear is not None):
             raise DiagramError("exactly the shear blocks carry a 2x2 matrix")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "shear", shear)
+        self._store(kind, shear)
 
 
 COMPLEMENT = PlanBlock("complement")
@@ -456,8 +432,7 @@ class SurgeryPlan(Record):
             raise DiagramError(
                 f"stated composite {composite} does not match block product {prod}"
             )
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "composite", composite)
+        self._store(blocks, composite)
 
 
 # Blocks realizing each SL3 rotation generator.  The plane rotations embed

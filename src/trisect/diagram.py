@@ -32,7 +32,8 @@ class Fraction(Record):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
-        if not isinstance(num, int) or not isinstance(den, int):
+        if (not isinstance(num, int) or not isinstance(den, int)
+                or isinstance(num, bool) or isinstance(den, bool)):
             raise DiagramError("fraction parts must be integers")
         if den < 0:
             raise DiagramError(f"fraction {num}/{den}: den must be >= 0")
@@ -41,8 +42,7 @@ class Fraction(Record):
                 raise DiagramError(f"fraction {num}/0: only 1/0 is allowed")
         elif math.gcd(num, den) != 1:
             raise DiagramError(f"fraction {num}/{den} is not reduced")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._store(num, den)
 
     @staticmethod
     def of(num: int, den: int) -> "Fraction":
@@ -88,7 +88,7 @@ class SymplecticLattice(Record):
     def __init__(self, genus: int):
         if genus < 0:
             raise DiagramError("genus must be >= 0")
-        object.__setattr__(self, "genus", genus)
+        self._store(genus)
 
     @property
     def dim(self) -> int:
@@ -112,29 +112,20 @@ class SymplecticLattice(Record):
 
 
 class CurveSystem(Record):
-    """A labelled list of curve class vectors."""
+    """A labelled list of curve class vectors: label (str), classes (a
+    tuple of int tuples)."""
     __slots__ = ("label", "classes")
-
-    def __init__(self, label: str, classes: Tuple[Tuple[int, ...], ...]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "classes", classes)
 
     def __len__(self) -> int:
         return len(self.classes)
 
 
 class Violation(Record):
+    """One finding of a diagram check: kind is "pairing" | "zero_class" |
+    "common" | "geo", message is its text, advisory (default False) marks
+    a finding that does not make the diagram invalid."""
     __slots__ = ("kind", "message", "advisory")
-
-    def __init__(
-        self,
-        kind: str,  # "pairing" | "zero_class" | "common" | "geo"
-        message: str,
-        advisory: bool = False,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "advisory", advisory)
+    _defaults = {"advisory": False}
 
 
 def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List[Violation]:
@@ -188,6 +179,9 @@ class StarDiagram(Record):
     are literally shared: index i asserts the two systems' i-th classes are
     equal.  geo maps normalized curve-pair keys to nonnegative geometric
     intersection counts.  Both default to a new empty dict.
+
+    Construction checks every class vector: length 2g (VectorLength) and
+    integer entries, bool excluded (DiagramError).
     """
     __slots__ = ("genus", "boundary", "alpha", "beta", "gamma", "common", "geo")
 
@@ -203,13 +197,15 @@ class StarDiagram(Record):
     ):
         if genus < 0 or boundary < 0:
             raise DiagramError("genus and boundary must be >= 0")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "common", {} if common is None else common)
-        object.__setattr__(self, "geo", {} if geo is None else geo)
+        for name, system in zip(SYSTEM_NAMES, (alpha, beta, gamma)):
+            for i, vec in enumerate(system.classes):
+                if len(vec) != 2 * genus:
+                    raise VectorLength(f"{name}[{i}]: length {len(vec)} != {2 * genus}")
+                for j, x in enumerate(vec):
+                    if isinstance(x, bool) or not isinstance(x, int):
+                        raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
+        self._store(genus, boundary, alpha, beta, gamma,
+                    {} if common is None else common, {} if geo is None else geo)
 
     def system(self, name: str) -> CurveSystem:
         if name not in SYSTEM_NAMES:
@@ -349,8 +345,7 @@ class BridgeData(Record):
             raise DiagramError("bridge data needs three counts >= 0")
         if max(c) < 1 or b < max(c):
             raise DiagramError("bridge data requires b >= max(c_i) >= 1")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self._store(b, c)
 
 
 class TrisectionParams(Record):
@@ -380,10 +375,7 @@ class TrisectionParams(Record):
                     raise DiagramError(
                         f"k = {k}: closed parameters need k_i <= g = {genus}"
                     )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "bridge", bridge)
+        self._store(genus, k, boundary, bridge)
 
     @property
     def closed(self) -> bool:
@@ -445,20 +437,14 @@ def _expected_basis(genus: int) -> str:
     return " ".join(SymplecticLattice(genus).basis_names())
 
 
-def _parse_system(name: str, raw, genus: int) -> CurveSystem:
+def _parse_system(name: str, raw) -> CurveSystem:
+    """The list shapes only; StarDiagram checks the class vectors."""
     if not isinstance(raw, list):
         raise DiagramError(f"{name}: expected a list of class vectors")
-    classes = []
     for i, vec in enumerate(raw):
         if not isinstance(vec, list):
             raise DiagramError(f"{name}[{i}]: expected a list of integers")
-        if len(vec) != 2 * genus:
-            raise VectorLength(f"{name}[{i}]: length {len(vec)} != {2 * genus}")
-        for j, x in enumerate(vec):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
-        classes.append(tuple(vec))
-    return CurveSystem(name, tuple(classes))
+    return CurveSystem(name, tuple([tuple(vec) for vec in raw]))
 
 
 def _parse_geo_key(key: str) -> GeoKey:
@@ -511,7 +497,7 @@ def parse_diagram(text: str) -> StarDiagram:
         expected = _expected_basis(genus)
         if raw["basis"] != expected:
             raise DiagramError(f'basis: expected "{expected}", got {raw["basis"]!r}')
-    systems = {name: _parse_system(name, raw[name], genus) for name in SYSTEM_NAMES}
+    systems = [_parse_system(name, raw[name]) for name in SYSTEM_NAMES]
 
     common: Dict[str, Tuple[int, ...]] = {}
     if "common" in raw:
@@ -540,15 +526,7 @@ def parse_diagram(text: str) -> StarDiagram:
                 raise DiagramError(f"geo[{key!r}]: duplicate pair after normalization")
             geo[norm] = count
 
-    d = StarDiagram(
-        genus=genus,
-        boundary=boundary,
-        alpha=systems["alpha"],
-        beta=systems["beta"],
-        gamma=systems["gamma"],
-        common=common,
-        geo=geo,
-    )
+    d = StarDiagram(genus, boundary, *systems, common, geo)
     bad = _claim_violations(d)
     if bad:
         raise DiagramError(bad[0].message)

@@ -20,7 +20,7 @@ det +1 (C = -1) two, odd_indefinite (1, 2).  `zmatrix.classify_unimodular`
 of `qx` is the reference.
 """
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple
 
 from ._record import Record
 from .diagram import CurveSystem, Fraction, StarDiagram, dmet
@@ -51,24 +51,13 @@ class SpunLens(Record):
     """Spun lens space of L(p, q); the all-equal triple (q/p, q/p, q/p)."""
     __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
     def __str__(self) -> str:
         return f"SpunLens({self.p},{self.q})"
 
 
-Manifold = Union[str, SpunLens, None]
-
-
 class FareyTriple(Record):
+    """Three slopes x, y, z (Fractions)."""
     __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: Fraction, y: Fraction, z: Fraction):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
@@ -78,19 +67,10 @@ class FareyTriple(Record):
 
 
 class FareyClassification(Record):
+    """A triple's kind (str), manifold (a name, a SpunLens or None),
+    refined ((T, S) with manifold = T # S, or None) and form (a FormClass
+    or None)."""
     __slots__ = ("kind", "manifold", "refined", "form")
-
-    def __init__(
-        self,
-        kind: str,
-        manifold: Manifold,
-        refined: Optional[Tuple[str, str]],  # (T, S) with manifold = T # S
-        form: Optional[FormClass],
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "manifold", manifold)
-        object.__setattr__(self, "refined", refined)
-        object.__setattr__(self, "form", form)
 
 
 def triple_kind(t: FareyTriple) -> str:

@@ -6,7 +6,7 @@ systems.  Euler characteristic and handle counts come straight from the
 parameter tuple and are defined for closed manifolds only.
 """
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ._record import Record
 from .diagram import StarDiagram, TrisectionParams, diagram_ok, validate_diagram
@@ -15,17 +15,10 @@ from .zmatrix import cokernel_invariants
 
 
 class HomologyReport(Record):
+    """H1 as h1_free_rank (int) and h1_torsion (a tuple of ints), with the
+    Euler characteristic euler (int, default None)."""
     __slots__ = ("h1_free_rank", "h1_torsion", "euler")
-
-    def __init__(
-        self,
-        h1_free_rank: int,
-        h1_torsion: Tuple[int, ...],
-        euler: Optional[int] = None,
-    ):
-        object.__setattr__(self, "h1_free_rank", h1_free_rank)
-        object.__setattr__(self, "h1_torsion", h1_torsion)
-        object.__setattr__(self, "euler", euler)
+    _defaults = {"euler": None}
 
     def h1_str(self) -> str:
         parts = ["Z"] * self.h1_free_rank + [f"Z/{t}" for t in self.h1_torsion]

@@ -16,8 +16,8 @@ states in closed form.
 _step is the checked move engine: it holds every domain check and
 IllegalMove message and works on the five plain fields (w1, w2, w3, t3,
 t1).  replay and trace_lines run every move through it without building a
-SlideState per move.  apply_move wraps one _step in _trusted_state, which
-skips SlideState's alphabet scan: a move only cuts, joins and reorders
+SlideState per move.  apply_move wraps one _step in SlideState._trusted,
+which skips SlideState's alphabet scan: a move only cuts, joins and reorders
 letters of words that were checked when the input state was built.  The
 public SlideState(...) always scans.
 
@@ -76,30 +76,12 @@ class SlideState(Record):
         for w in (w1, w2, w3):
             if not _in_alphabet(w):
                 raise MalformedWord(f"word {w!r} contains letters outside the alphabet")
-        _fill_state(self, w1, w2, w3, t3, t1, target)
+        self._store(w1, w2, w3, t3, t1, target)
 
     def counts(self) -> Tuple[int, int]:
         """(mu letters, lambda letters) across all three words."""
         whole = self.w1 + self.w2 + self.w3
         return whole.count(MU), whole.count(LAM)
-
-
-def _fill_state(s: SlideState, w1, w2, w3, t3, t1, target) -> None:
-    object.__setattr__(s, "w1", w1)
-    object.__setattr__(s, "w2", w2)
-    object.__setattr__(s, "w3", w3)
-    object.__setattr__(s, "t3", t3)
-    object.__setattr__(s, "t1", t1)
-    object.__setattr__(s, "target", target)
-
-
-def _trusted_state(w1: str, w2: str, w3: str, t3: int, t1: int,
-                   target: Tuple[int, int]) -> SlideState:
-    """A SlideState without the alphabet scan of SlideState(...): only for
-    words cut, joined or reordered from words already checked."""
-    s = object.__new__(SlideState)
-    _fill_state(s, w1, w2, w3, t3, t1, target)
-    return s
 
 
 def initial_state(w3: str) -> SlideState:
@@ -149,8 +131,7 @@ class SlideMove(Record):
         needs_arg = kind in ("ExtendB1", "CommuteLambdaMu")
         if needs_arg != (arg is not None):
             raise IllegalMove(f"move {kind} argument mismatch")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "arg", arg)
+        self._store(kind, arg)
 
     @property
     def anchor(self) -> str:
@@ -210,7 +191,7 @@ def _step(mv: SlideMove, w1: str, w2: str, w3: str, t3: int, t1: int) -> tuple:
 def apply_move(s: SlideState, mv: SlideMove) -> SlideState:
     """One slide move; raises IllegalMove when the state is outside its
     domain."""
-    return _trusted_state(*_step(mv, s.w1, s.w2, s.w3, s.t3, s.t1), s.target)
+    return SlideState._trusted(*_step(mv, s.w1, s.w2, s.w3, s.t3, s.t1), s.target)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +228,7 @@ def reduce_mu(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
         trace.append(SlideMove("ExtendB1", j + 1))
         trace += back_to_front[n - j:]
         trace += _CLOSE_MU_CYCLE
-    return _trusted_state("", "", LAM * n, m, 0, s.target), trace
+    return SlideState._trusted("", "", LAM * n, m, 0, s.target), trace
 
 
 def reduce_full(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
@@ -261,14 +242,14 @@ def reduce_full(s: SlideState) -> Tuple[SlideState, List[SlideMove]]:
     _, trace = reduce_mu(s)
     trace.append(SlideMove("ExtendB1", n))
     trace += [_SLIDE_A2] * n
-    return _trusted_state("", "", "", m, n - 1, s.target), trace
+    return SlideState._trusted("", "", "", m, n - 1, s.target), trace
 
 
 def replay(initial: SlideState, trace: List[SlideMove]) -> SlideState:
     fields = initial.w1, initial.w2, initial.w3, initial.t3, initial.t1
     for mv in trace:
         fields = _step(mv, *fields)
-    return _trusted_state(*fields, initial.target)
+    return SlideState._trusted(*fields, initial.target)
 
 
 def format_state(s: SlideState) -> str:

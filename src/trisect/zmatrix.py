@@ -339,10 +339,6 @@ class CokernelInvariants(Record):
     """Invariants of Z^rows / column-span(M)."""
     __slots__ = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: Tuple[int, ...]):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-
 
 def cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
     """Free rank and torsion factors (>1) of Z^rows / col-span(m)."""
@@ -357,19 +353,9 @@ def cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
 # ---------------------------------------------------------------------------
 
 class FormInvariants(Record):
+    """rank, signature and det (ints) of a symmetric form, and its parity:
+    "Even" or "Odd"."""
     __slots__ = ("rank", "signature", "parity", "det")
-
-    def __init__(
-        self,
-        rank: int,
-        signature: int,
-        parity: str,  # "Even" or "Odd"
-        det: int,
-    ):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "det", det)
 
 
 def sym_form_invariants(q: Sequence[Sequence[int]]) -> FormInvariants:
@@ -449,10 +435,7 @@ class FormClass(Record):
     "negative_diagonal" (params (n,)), or "unclassified".
     """
     __slots__ = ("kind", "params")
-
-    def __init__(self, kind: str, params: Tuple[int, ...] = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
+    _defaults = {"params": ()}
 
     def __str__(self) -> str:
         if self.params:
@@ -493,10 +476,7 @@ class Gen(Record):
     """One letter of an SL3 word: kind in {s12, s23, s31, s12i, s23i, s31i, e};
     k is the shear amount and only meaningful for kind "e"."""
     __slots__ = ("kind", "k")
-
-    def __init__(self, kind: str, k: int = 0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "k", k)
+    _defaults = {"k": 0}
 
     def inverse(self) -> "Gen":
         if self.kind == "e":
@@ -535,10 +515,8 @@ def gen_matrix(g: Gen) -> IntMatrix:
 
 
 class SL3Word(Record):
+    """A word in the SL3 generators: factors, a tuple of Gen."""
     __slots__ = ("factors",)
-
-    def __init__(self, factors: Tuple[Gen, ...]):
-        object.__setattr__(self, "factors", factors)
 
     def product(self) -> IntMatrix:
         out = identity(3)

@@ -299,3 +299,38 @@ def test_construct_diagram_directly():
         CurveSystem("gamma", ((1, 1),)),
     )
     assert diagram_ok(validate_diagram(d))
+
+
+# a class vector off the contract: the same error built by hand or parsed
+BAD_CLASSES = [
+    (2, "alpha", [1, 0, 0], VectorLength, "alpha[0]: length 3 != 4"),
+    (1, "alpha", [2, 0.5], DiagramError, "alpha[0][1]: not an integer: 0.5"),
+    (1, "beta", [True, 0], DiagramError, "beta[0][0]: not an integer: True"),
+    (1, "gamma", [2.0, 0], DiagramError, "gamma[0][0]: not an integer: 2.0"),
+]
+
+
+@pytest.mark.parametrize("genus,name,vec,exc,message", BAD_CLASSES, ids=[m for *_, m in BAD_CLASSES])
+def test_class_vectors_checked_where_a_diagram_is_built(genus, name, vec, exc, message):
+    raw = {key: [[0] * (2 * genus)] for key in ("alpha", "beta", "gamma")}
+    raw[name] = [vec]
+    systems = [CurveSystem(key, tuple(tuple(v) for v in raw[key])) for key in raw]
+    with pytest.raises(exc) as built:
+        StarDiagram(genus, 0, *systems)
+    with pytest.raises(exc) as parsed:
+        parse_diagram(json.dumps({"genus": genus, **raw}))
+    assert str(built.value) == str(parsed.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda g: st.tuples(
+    st.just(g),
+    st.lists(st.lists(st.lists(st.integers(-9, 9), min_size=2 * g, max_size=2 * g),
+                      max_size=3), min_size=3, max_size=3),
+)))
+def test_parse_inverts_serialize_on_built_diagrams(case):
+    genus, classes = case
+    systems = [CurveSystem(name, tuple(map(tuple, vecs)))
+               for name, vecs in zip(("alpha", "beta", "gamma"), classes)]
+    d = StarDiagram(genus, 0, *systems)
+    assert parse_diagram(serialize_diagram(d)) == d

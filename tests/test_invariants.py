@@ -48,7 +48,7 @@ class TestFirstHomology:
 
     @pytest.mark.parametrize("cls", [(2, 0.5), (2.0, 0), (True, 0)])
     def test_non_int_class_rejected(self, cls):
-        # a diagram built by hand, not parsed, is checked by the Smith kernel
+        # a diagram built by hand, not parsed, is checked where it is built
         with pytest.raises(ValueError):
             first_homology(closed_diagram([cls], [(0, 1)], [(0, 1)], 1))
 

@@ -174,6 +174,53 @@ class TestRecord:
         assert x.__reduce__() == (cls, values)
 
 
+@pytest.mark.parametrize("cls,names,values", CASES, ids=IDS)
+def test_constructor_argument_errors(cls, names, values):
+    required = len(DEFAULTS[cls][0]) if cls in DEFAULTS else len(names)
+    with pytest.raises(TypeError):
+        cls(*values[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, not_a_field=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+
+
+# the classes whose __init__ would only store its arguments
+STORE_ONLY = {
+    PastingInput, ComplementResult, CurveSystem, Violation, SpunLens, FareyTriple,
+    FareyClassification, HomologyReport, CokernelInvariants, FormInvariants, FormClass,
+    Gen, SL3Word,
+}
+
+
+def test_store_only_classes_use_the_generated_constructor():
+    generated = {cls for cls, _, _ in CASES if cls.__init__.__module__ == "trisect._record"}
+    assert generated == STORE_ONLY
+
+
+def test_generated_constructor_binds_like_a_signature():
+    assert Gen(k=2, kind="e") == Gen("e", 2) == Gen("e", k=2)
+    assert Violation("geo", message="m") == Violation("geo", "m", False)
+    with pytest.raises(TypeError, match="missing argument 'message'"):
+        Violation("geo", advisory=True)
+    with pytest.raises(TypeError, match="multiple values for argument 'kind'"):
+        Gen("e", kind="e")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'kinds'"):
+        Gen(kinds="e")
+    with pytest.raises(TypeError, match="takes 2 arguments, got 3"):
+        Gen("e", 1, 2)
+
+
+@pytest.mark.parametrize("cls,names,values", CASES, ids=IDS)
+def test_trusted_constructor_stores_the_fields(cls, names, values):
+    x = cls._trusted(*values)
+    assert type(x) is cls
+    assert fields_of(x, names) == values
+    assert x == cls(*values)
+
+
 @pytest.mark.parametrize("cls", list(DEFAULTS), ids=[c.__name__ for c in DEFAULTS])
 def test_defaults(cls):
     required, defaults = DEFAULTS[cls]
@@ -226,6 +273,11 @@ def test_own_str_is_kept():
 
 BAD = [
     (lambda: Fraction(1.5, 2), DiagramError, "fraction parts must be integers"),
+    # own ids: a repeated message id would renumber the case above
+    pytest.param(lambda: Fraction(True, 1), DiagramError, "fraction parts must be integers",
+                 id="fraction parts must be integers: bool num"),
+    pytest.param(lambda: Fraction(1, True), DiagramError, "fraction parts must be integers",
+                 id="fraction parts must be integers: bool den"),
     (lambda: Fraction(1, -2), DiagramError, "fraction 1/-2: den must be >= 0"),
     (lambda: Fraction(2, 0), DiagramError, "fraction 2/0: only 1/0 is allowed"),
     (lambda: Fraction(2, 4), DiagramError, "fraction 2/4 is not reduced"),
