@@ -352,6 +352,9 @@ _ROT_INV = ((0, 1), (-1, 0))
 
 
 class PlanBlock(Record):
+    """One plan block: kind (one of BLOCK_KINDS) and, on exactly the shear
+    blocks, shear, an SL2 matrix as a tuple of two int tuples; any other
+    shear payload raises NotSL2."""
     __slots__ = ("kind", "shear")
 
     def __init__(
@@ -363,6 +366,16 @@ class PlanBlock(Record):
             raise DiagramError(f"unknown block kind {kind!r}")
         if (kind == "shear") != (shear is not None):
             raise DiagramError("exactly the shear blocks carry a 2x2 matrix")
+        if shear is not None:
+            if not (isinstance(shear, tuple) and len(shear) == 2 and all(
+                    isinstance(row, tuple) and len(row) == 2 for row in shear)):
+                raise NotSL2("shear payload must be 2x2")
+            for x in shear[0] + shear[1]:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise NotSL2(f"shear payload entries must be integers, got {x!r}")
+            (p, q), (r, s) = shear
+            if p * s - q * r != 1:
+                raise NotSL2(f"shear payload must have determinant 1, got {p * s - q * r}")
         self._store(kind, shear)
 
 
@@ -375,17 +388,8 @@ TAUEMPTY = PlanBlock("tauempty")
 
 
 def shear_block(f: Sequence[Sequence[int]]) -> PlanBlock:
-    rows = tuple(tuple(x for x in row) for row in f)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise NotSL2("shear payload must be 2x2")
-    for row in rows:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise NotSL2(f"shear payload entries must be integers, got {x!r}")
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if det != 1:
-        raise NotSL2(f"shear payload must have determinant 1, got {det}")
-    return PlanBlock("shear", rows)
+    """The shear block of any 2x2 sequence; PlanBlock checks it."""
+    return PlanBlock("shear", tuple(tuple(row) for row in f))
 
 
 def block_matrix(b: PlanBlock) -> IntMatrix:
@@ -456,7 +460,7 @@ def surgery_plan_general(m: IntMatrix) -> SurgeryPlan:
     blocks: List[PlanBlock] = [COMPLEMENT, TAU0]
     for g in word.factors:
         if g.kind == "e":
-            blocks.append(PlanBlock("shear", ((1, g.k), (0, 1))))  # det 1 by shape
+            blocks.append(PlanBlock._trusted("shear", ((1, g.k), (0, 1))))  # SL2 by shape
         else:
             blocks.extend(_GEN_BLOCKS[g.kind])
     blocks.append(TAUEMPTY)
@@ -472,7 +476,7 @@ def log_transform_plan(a: Sequence[Sequence[int]]) -> SurgeryPlan:
     P31 . (JAJ + 1) . P31 = 1 + A holds exactly.
     """
     (a11, a12), (a21, a22) = shear_block(a).shear  # raises NotSL2 on bad input
-    jaj = PlanBlock("shear", ((a22, a21), (a12, a11)))  # det JAJ = det A = 1
+    jaj = PlanBlock._trusted("shear", ((a22, a21), (a12, a11)))  # det JAJ = det A = 1
     return SurgeryPlan(
         (COMPLEMENT, TAU0, TAU31, jaj, TAU31, TAUEMPTY),
         [[1, 0, 0], [0, a11, a12], [0, a21, a22]],
@@ -501,18 +505,9 @@ def luttinger_plan(m: int, n: int) -> SurgeryPlan:
 # plan serialization
 # ---------------------------------------------------------------------------
 
-_KIND_TO_TOKEN = {
-    "complement": "COMPLEMENT",
-    "tau0": "TAU0",
-    "tau12": "TAU12",
-    "tau23": "TAU23",
-    "tau31": "TAU31",
-    "tauempty": "TAUEMPTY",
-}
-# the six argument-free block lines, each standing for its module constant
-_TOKEN_BLOCKS = {
-    _KIND_TO_TOKEN[b.kind]: b for b in (COMPLEMENT, TAU0, TAU12, TAU23, TAU31, TAUEMPTY)
-}
+# the six argument-free block lines, each the upper-cased kind of its
+# module constant
+_TOKEN_BLOCKS = {b.kind.upper(): b for b in (COMPLEMENT, TAU0, TAU12, TAU23, TAU31, TAUEMPTY)}
 
 
 def serialize_plan(plan: SurgeryPlan) -> str:
@@ -523,7 +518,7 @@ def serialize_plan(plan: SurgeryPlan) -> str:
             (p, q), (r, s) = b.shear
             lines.append(f"SHEAR {p} {q} {r} {s}")
         else:
-            lines.append(_KIND_TO_TOKEN[b.kind])
+            lines.append(b.kind.upper())
     flat = " ".join(str(x) for row in plan.composite for x in row)
     lines.append(f"COMPOSITE {flat}")
     return "\n".join(lines) + "\n"

@@ -121,9 +121,9 @@ class CurveSystem(Record):
 
 
 class Violation(Record):
-    """One finding of a diagram check: kind is "pairing" | "zero_class" |
-    "common" | "geo", message is its text, advisory (default False) marks
-    a finding that does not make the diagram invalid."""
+    """One finding of a cut-system check: kind is "pairing" or
+    "zero_class", message is its text, advisory (default False) marks a
+    finding that does not make the diagram invalid."""
     __slots__ = ("kind", "message", "advisory")
     _defaults = {"advisory": False}
 
@@ -165,11 +165,8 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
 GeoKey = Tuple[str, int, str, int]
 
 
-def _norm_geo_key(sys_a: str, i: int, sys_b: str, j: int) -> GeoKey:
-    order = {name: pos for pos, name in enumerate(SYSTEM_NAMES)}
-    if (order[sys_a], i) <= (order[sys_b], j):
-        return (sys_a, i, sys_b, j)
-    return (sys_b, j, sys_a, i)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class StarDiagram(Record):
@@ -177,11 +174,16 @@ class StarDiagram(Record):
 
     common maps a system pair ("alpha_beta", ...) to indices of curves that
     are literally shared: index i asserts the two systems' i-th classes are
-    equal.  geo maps normalized curve-pair keys to nonnegative geometric
-    intersection counts.  Both default to a new empty dict.
+    equal.  geo maps curve-pair keys (system, index, system, index), in
+    either order, to nonnegative geometric intersection counts.  Both
+    default to a new empty dict; common is stored with sorted index tuples
+    and geo with its keys in system order.
 
-    Construction checks every class vector: length 2g (VectorLength) and
-    integer entries, bool excluded (DiagramError).
+    Construction is the one place the file contract is checked, so every
+    diagram that builds serializes to a file that parse_diagram reads back
+    as an equal diagram.  An argument off the contract raises DiagramError
+    (VectorLength for a class of length other than 2g); bool is not an
+    integer here.
     """
     __slots__ = ("genus", "boundary", "alpha", "beta", "gamma", "common", "geo")
 
@@ -192,20 +194,69 @@ class StarDiagram(Record):
         alpha: CurveSystem,
         beta: CurveSystem,
         gamma: CurveSystem,
-        common: Optional[Dict[str, Tuple[int, ...]]] = None,
+        common: Optional[Dict[str, Sequence[int]]] = None,
         geo: Optional[Dict[GeoKey, int]] = None,
     ):
+        if not (_is_int(genus) and _is_int(boundary)):
+            raise DiagramError("genus and boundary must be integers")
         if genus < 0 or boundary < 0:
             raise DiagramError("genus and boundary must be >= 0")
-        for name, system in zip(SYSTEM_NAMES, (alpha, beta, gamma)):
+        systems = dict(zip(SYSTEM_NAMES, (alpha, beta, gamma)))
+        for name, system in systems.items():
+            if not (isinstance(system, CurveSystem) and system.label == name
+                    and isinstance(system.classes, tuple)):
+                raise DiagramError(
+                    f"{name}: expected a CurveSystem {name!r} with a tuple of classes")
             for i, vec in enumerate(system.classes):
+                if not isinstance(vec, tuple):
+                    raise DiagramError(f"{name}[{i}]: expected a tuple of integers")
                 if len(vec) != 2 * genus:
                     raise VectorLength(f"{name}[{i}]: length {len(vec)} != {2 * genus}")
                 for j, x in enumerate(vec):
                     if isinstance(x, bool) or not isinstance(x, int):
                         raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
-        self._store(genus, boundary, alpha, beta, gamma,
-                    {} if common is None else common, {} if geo is None else geo)
+
+        claims: Dict[str, Tuple[int, ...]] = {}
+        for key, indices in (common or {}).items():
+            if key not in COMMON_KEYS:
+                raise DiagramError(f"common: unknown pair {key!r}")
+            if not isinstance(indices, (list, tuple)) or not all(map(_is_int, indices)):
+                raise DiagramError(f"common.{key}: expected a list of integers")
+            if len(set(indices)) != len(indices):
+                raise DiagramError(f"common.{key}: duplicate index")
+            sa, sb = key.split("_")
+            a, b = systems[sa].classes, systems[sb].classes
+            claims[key] = tuple(sorted(indices))
+            for idx in claims[key]:
+                if idx < 0 or idx >= min(len(a), len(b)):
+                    raise DiagramError(f"common.{key}: index {idx} out of range")
+                if a[idx] != b[idx]:
+                    raise DiagramError(
+                        f"common.{key}: {sa}[{idx}] != {sb}[{idx}] though marked common"
+                    )
+
+        counts: Dict[GeoKey, int] = {}
+        for pair, count in (geo or {}).items():
+            if not (isinstance(pair, tuple) and len(pair) == 4
+                    and _is_int(pair[1]) and _is_int(pair[3])):
+                raise DiagramError(f"geo key {pair!r}: expected (system, index, system, index)")
+            sa, i, sb, j = pair
+            text = f"{sa}.{i}:{sb}.{j}"
+            for s in (sa, sb):
+                if s not in SYSTEM_NAMES:
+                    raise DiagramError(f"geo key {text!r}: unknown system {s!r}")
+            if (sa, i) == (sb, j):
+                raise DiagramError(f"geo key {text!r}: a curve cannot pair with itself")
+            if not _is_int(count) or count < 0:
+                raise DiagramError(f"geo[{text!r}]: expected a nonnegative integer")
+            norm = min(pair, (sb, j, sa, i), key=lambda k: (SYSTEM_NAMES.index(k[0]), k[1]))
+            if norm in counts:
+                raise DiagramError(f"geo[{text!r}]: duplicate pair after normalization")
+            for s, idx in ((sa, i), (sb, j)):
+                if idx < 0 or idx >= len(systems[s].classes):
+                    raise DiagramError(f"geo {s}.{idx}: index out of range")
+            counts[norm] = count
+        self._store(genus, boundary, alpha, beta, gamma, claims, counts)
 
     def system(self, name: str) -> CurveSystem:
         if name not in SYSTEM_NAMES:
@@ -219,42 +270,15 @@ class StarDiagram(Record):
         return list(self.alpha.classes) + list(self.beta.classes) + list(self.gamma.classes)
 
 
-def _pair_systems(key: str) -> Tuple[str, str]:
-    a, b = key.split("_")
-    return a, b
-
-
-def _claim_violations(d: StarDiagram) -> List[Violation]:
-    """Common-curve claims whose index is out of range or whose classes
-    differ, and geo entries naming a curve that does not exist."""
-    out: List[Violation] = []
-    for key, indices in d.common.items():
-        sa, sb = _pair_systems(key)
-        a, b = d.system(sa), d.system(sb)
-        for idx in indices:
-            if idx < 0 or idx >= min(len(a), len(b)):
-                out.append(Violation("common", f"common.{key}: index {idx} out of range"))
-            elif a.classes[idx] != b.classes[idx]:
-                out.append(
-                    Violation(
-                        "common",
-                        f"common.{key}: {sa}[{idx}] != {sb}[{idx}] though marked common",
-                    )
-                )
-    for sa, i, sb, j in d.geo:
-        for name, idx in ((sa, i), (sb, j)):
-            if idx < 0 or idx >= len(d.system(name)):
-                out.append(Violation("geo", f"geo {name}.{idx}: index out of range"))
-    return out
-
-
 def validate_diagram(d: StarDiagram) -> List[Violation]:
-    """Full diagram report: cut systems, common-curve claims, geo sanity."""
+    """Cut-system report of the three systems: pairing violations and
+    zero-class advisories.  The common and geo claims were checked when
+    the diagram was built."""
     lattice = d.lattice()
     out: List[Violation] = []
     for name in SYSTEM_NAMES:
         out.extend(validate_cut_system(d.system(name), lattice))
-    return out + _claim_violations(d)
+    return out
 
 
 def diagram_ok(violations: Sequence[Violation]) -> bool:
@@ -377,10 +401,6 @@ class TrisectionParams(Record):
                     )
         self._store(genus, k, boundary, bridge)
 
-    @property
-    def closed(self) -> bool:
-        return self.boundary == 0
-
     def with_bridge(self, b: int, c: Tuple[int, int, int]) -> "TrisectionParams":
         return TrisectionParams(self.genus, self.k, self.boundary, BridgeData(b, tuple(c)))
 
@@ -447,29 +467,12 @@ def _parse_system(name: str, raw) -> CurveSystem:
     return CurveSystem(name, tuple([tuple(vec) for vec in raw]))
 
 
-def _parse_geo_key(key: str) -> GeoKey:
-    try:
-        left, right = key.split(":")
-        sys_a, ia = left.split(".")
-        sys_b, ib = right.split(".")
-        i, j = int(ia), int(ib)
-    except ValueError:
-        raise DiagramError(
-            f'geo key {key!r}: expected "system.index:system.index"'
-        ) from None
-    for s in (sys_a, sys_b):
-        if s not in SYSTEM_NAMES:
-            raise DiagramError(f"geo key {key!r}: unknown system {s!r}")
-    if (sys_a, i) == (sys_b, j):
-        raise DiagramError(f"geo key {key!r}: a curve cannot pair with itself")
-    return _norm_geo_key(sys_a, i, sys_b, j)
-
-
 def parse_diagram(text: str) -> StarDiagram:
     """Parse the JSON diagram format; reject anything off-contract.
 
-    Errors carry the offending field path (or line/column for malformed
-    JSON).
+    The parser reads the text into constructor arguments, and StarDiagram
+    checks them.  Errors carry the offending field path (or line/column
+    for malformed JSON).
     """
     import json  # on first use, so that verbs that read no diagram start without it
 
@@ -487,50 +490,31 @@ def parse_diagram(text: str) -> StarDiagram:
     for key in ("genus", "alpha", "beta", "gamma"):
         if key not in raw:
             raise DiagramError(f"missing field {key!r}")
-    genus = raw["genus"]
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
-        raise DiagramError(f"genus: expected a nonnegative integer, got {genus!r}")
-    boundary = raw.get("boundary", 0)
-    if isinstance(boundary, bool) or not isinstance(boundary, int) or boundary < 0:
-        raise DiagramError(f"boundary: expected a nonnegative integer, got {boundary!r}")
+    genus, boundary = raw["genus"], raw.get("boundary", 0)
+    for field, value in (("genus", genus), ("boundary", boundary)):
+        if not _is_int(value) or value < 0:
+            raise DiagramError(f"{field}: expected a nonnegative integer, got {value!r}")
     if "basis" in raw:
         expected = _expected_basis(genus)
         if raw["basis"] != expected:
             raise DiagramError(f'basis: expected "{expected}", got {raw["basis"]!r}')
     systems = [_parse_system(name, raw[name]) for name in SYSTEM_NAMES]
-
-    common: Dict[str, Tuple[int, ...]] = {}
-    if "common" in raw:
-        if not isinstance(raw["common"], dict):
-            raise DiagramError("common: expected an object")
-        for key, indices in raw["common"].items():
-            if key not in COMMON_KEYS:
-                raise DiagramError(f"common: unknown pair {key!r}")
-            if not isinstance(indices, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) for i in indices
-            ):
-                raise DiagramError(f"common.{key}: expected a list of integers")
-            if len(set(indices)) != len(indices):
-                raise DiagramError(f"common.{key}: duplicate index")
-            common[key] = tuple(sorted(indices))
-
-    geo: Dict[GeoKey, int] = {}
-    if "geo" in raw:
-        if not isinstance(raw["geo"], dict):
-            raise DiagramError("geo: expected an object")
-        for key, count in raw["geo"].items():
-            norm = _parse_geo_key(key)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise DiagramError(f"geo[{key!r}]: expected a nonnegative integer")
-            if norm in geo:
-                raise DiagramError(f"geo[{key!r}]: duplicate pair after normalization")
-            geo[norm] = count
-
-    d = StarDiagram(genus, boundary, *systems, common, geo)
-    bad = _claim_violations(d)
-    if bad:
-        raise DiagramError(bad[0].message)
-    return d
+    common, geo = raw.get("common", {}), raw.get("geo", {})
+    for field, value in (("common", common), ("geo", geo)):
+        if not isinstance(value, dict):
+            raise DiagramError(f"{field}: expected an object")
+    pairs: Dict[GeoKey, object] = {}
+    for key, count in geo.items():
+        try:
+            left, right = key.split(":")
+            (sa, i), (sb, j) = left.split("."), right.split(".")
+            pair = (sa, int(i), sb, int(j))
+        except ValueError:
+            raise DiagramError(f'geo key {key!r}: expected "system.index:system.index"') from None
+        if pair in pairs:  # one pair spelled twice, as "alpha.0:beta.0" and "alpha.00:beta.0"
+            raise DiagramError(f"geo[{key!r}]: duplicate pair after normalization")
+        pairs[pair] = count
+    return StarDiagram(genus, boundary, *systems, common, pairs)
 
 
 def serialize_diagram(d: StarDiagram) -> str:
@@ -550,14 +534,9 @@ def serialize_diagram(d: StarDiagram) -> str:
         "gamma": [list(v) for v in d.gamma.classes],
     }
     if d.common:
-        obj["common"] = {
-            key: sorted(d.common[key]) for key in COMMON_KEYS if key in d.common
-        }
+        obj["common"] = {key: list(d.common[key]) for key in sorted(d.common, key=COMMON_KEYS.index)}
     if d.geo:
-        entries = {}
-        for (sa, i, sb, j), count in sorted(
-            d.geo.items(), key=lambda kv: (SYSTEM_NAMES.index(kv[0][0]), kv[0][1], SYSTEM_NAMES.index(kv[0][2]), kv[0][3])
-        ):
-            entries[f"{sa}.{i}:{sb}.{j}"] = count
-        obj["geo"] = entries
+        rank = SYSTEM_NAMES.index
+        keys = sorted(d.geo, key=lambda k: (rank(k[0]), k[1], rank(k[2]), k[3]))
+        obj["geo"] = {"{}.{}:{}.{}".format(*k): d.geo[k] for k in keys}
     return json.dumps(obj, indent=1)

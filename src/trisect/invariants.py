@@ -15,10 +15,8 @@ from .zmatrix import cokernel_invariants
 
 
 class HomologyReport(Record):
-    """H1 as h1_free_rank (int) and h1_torsion (a tuple of ints), with the
-    Euler characteristic euler (int, default None)."""
-    __slots__ = ("h1_free_rank", "h1_torsion", "euler")
-    _defaults = {"euler": None}
+    """H1 as h1_free_rank (int) and h1_torsion (a tuple of ints)."""
+    __slots__ = ("h1_free_rank", "h1_torsion")
 
     def h1_str(self) -> str:
         parts = ["Z"] * self.h1_free_rank + [f"Z/{t}" for t in self.h1_torsion]

@@ -564,3 +564,63 @@ class TestPlanSerialization:
     def test_luttinger_serialization_round_trip(self, m, n):
         plan = luttinger_plan(m, n)
         assert parse_plan(serialize_plan(plan)).composite == plan.composite
+
+
+def perturbed(m, cell, delta):
+    rows = [list(row) for row in m]
+    rows[cell // 2][cell % 2] += delta
+    return tuple(map(tuple, rows))
+
+
+small_payloads = st.tuples(*[st.integers(-3, 3)] * 4).map(lambda t: (t[:2], t[2:]))
+payloads = st.one_of(
+    small_payloads,
+    sl2_payloads(),
+    st.builds(perturbed, sl2_payloads(), st.integers(0, 3), st.integers(-2, 2)),
+)
+
+
+class TestPlanBlockContract:
+    """PlanBlock checks a shear's payload where the block is built, so
+    every plan that builds round-trips through its file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads)
+    def test_shear_builds_iff_det_is_one(self, m):
+        (p, q), (r, s) = m
+        if p * s - q * r == 1:
+            assert PlanBlock("shear", m).shear == m
+        else:
+            with pytest.raises(NotSL2) as err:
+                PlanBlock("shear", m)
+            assert str(err.value) == f"shear payload must have determinant 1, got {p * s - q * r}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(plan_blocks, max_size=30))
+    def test_plans_with_random_shears_round_trip(self, blocks):
+        composite = identity(3)
+        for b in blocks:
+            composite = mat_mul(composite, block_matrix(b))
+        plan = SurgeryPlan(tuple(blocks), composite)
+        assert parse_plan(serialize_plan(plan)) == plan
+
+    @settings(max_examples=60, deadline=None)
+    @given(sl2_payloads())
+    def test_trusted_shears_pass_the_check(self, a):
+        m = [[1, 0, 0], [0, a[0][0], a[0][1]], [0, a[1][0], a[1][1]]]
+        for plan in (log_transform_plan(a), surgery_plan_general(m)):
+            for b in plan.blocks:
+                assert PlanBlock(b.kind, b.shear) == b
+
+    @pytest.mark.parametrize("shear,message", [
+        (((1, 2), (3, 4)), "shear payload must have determinant 1, got -2"),
+        (((1.0, 0), (0, 1)), "shear payload entries must be integers, got 1.0"),
+        (((1, True), (0, 1)), "shear payload entries must be integers, got True"),
+        ([[1, 0], [0, 1]], "shear payload must be 2x2"),
+        (((1, 0), [0, 1]), "shear payload must be 2x2"),
+        (((1, 0, 0), (0, 1, 0)), "shear payload must be 2x2"),
+    ])
+    def test_off_contract_shears_are_refused_when_built(self, shear, message):
+        with pytest.raises(NotSL2) as err:
+            PlanBlock("shear", shear)
+        assert str(err.value) == message

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisect.diagram import (
+    COMMON_KEYS,
+    SYSTEM_NAMES,
     BridgeData,
     CurveSystem,
     Fraction,
@@ -22,7 +24,7 @@ from trisect.diagram import (
     validate_diagram,
     validate_standard_pair,
 )
-from trisect.errors import DiagramError, VectorLength
+from trisect.errors import DiagramError, TrisectError, VectorLength
 
 
 def cp2_text():
@@ -235,18 +237,24 @@ class TestParseSerialize:
         ({"alpha_beta": (1,)}, {("beta", 0, "gamma", 5): 2}),
     ])
     def test_parse_and_validate_agree_on_claims(self, common, geo):
-        d = StarDiagram(
-            genus=2, boundary=0,
-            alpha=CurveSystem("alpha", ((1, 0, 0, 0), (0, 0, 1, 0))),
-            beta=CurveSystem("beta", ((0, 1, 0, 0), (0, 0, 1, 0))),
-            gamma=CurveSystem("gamma", ((1, 1, 0, 0),)),
-            common=common, geo=geo,
-        )
-        violations = validate_diagram(d)
-        assert violations and violations[0].kind in ("common", "geo")
-        with pytest.raises(DiagramError) as err:
-            parse_diagram(serialize_diagram(d))
-        assert str(err.value) == violations[0].message
+        # the constructor validates the claims, and the parser's refusal is its refusal
+        classes = {
+            "alpha": ((1, 0, 0, 0), (0, 0, 1, 0)),
+            "beta": ((0, 1, 0, 0), (0, 0, 1, 0)),
+            "gamma": ((1, 1, 0, 0),),
+        }
+        with pytest.raises(DiagramError) as built:
+            StarDiagram(2, 0, *(CurveSystem(n, c) for n, c in classes.items()), common, geo)
+        text = json.dumps({
+            "genus": 2,
+            **{name: [list(v) for v in vecs] for name, vecs in classes.items()},
+            "common": {key: list(indices) for key, indices in common.items()},
+            "geo": {f"{a}.{i}:{b}.{j}": count for (a, i, b, j), count in geo.items()},
+        })
+        with pytest.raises(DiagramError) as parsed:
+            parse_diagram(text)
+        assert str(built.value) == str(parsed.value)
+        assert str(built.value).startswith(("common.", "geo "))
 
     def test_round_trip_with_common_and_geo(self):
         obj = {
@@ -334,3 +342,88 @@ def test_parse_inverts_serialize_on_built_diagrams(case):
                for name, vecs in zip(("alpha", "beta", "gamma"), classes)]
     d = StarDiagram(genus, 0, *systems)
     assert parse_diagram(serialize_diagram(d)) == d
+
+
+CP2 = {
+    "genus": 1, "boundary": 0,
+    "alpha": CurveSystem("alpha", ((1, 0),)),
+    "beta": CurveSystem("beta", ((0, 1),)),
+    "gamma": CurveSystem("gamma", ((1, 1),)),
+}
+
+# changes to the cp2 diagram that a hand-built diagram could once carry,
+# though its file would not parse back to it
+PROBES = [
+    ({"geo": {("alpha", 0, "beta", 0): True}},
+     "geo['alpha.0:beta.0']: expected a nonnegative integer"),
+    ({"geo": {("alpha", 0, "beta", 0): -1}},
+     "geo['alpha.0:beta.0']: expected a nonnegative integer"),
+    ({"geo": {("alpha", 0, "alpha", 0): 1}},
+     "geo key 'alpha.0:alpha.0': a curve cannot pair with itself"),
+    ({"geo": {("alpha", 0, "delta", 0): 1}},
+     "geo key 'alpha.0:delta.0': unknown system 'delta'"),
+    ({"geo": {("alpha", 0, "beta", 0): 1, ("beta", 0, "alpha", 0): 2}},
+     "geo['beta.0:alpha.0']: duplicate pair after normalization"),
+    ({"geo": {("alpha", True, "beta", 0): 1}},
+     "geo key ('alpha', True, 'beta', 0): expected (system, index, system, index)"),
+    ({"geo": {"alpha.0:beta.0": 1}},
+     "geo key 'alpha.0:beta.0': expected (system, index, system, index)"),
+    ({"common": {"alpha_beta": [0, 0]}}, "common.alpha_beta: duplicate index"),
+    ({"common": {"alpha_gamma": (0,)}}, "common: unknown pair 'alpha_gamma'"),
+    ({"common": {"alpha_beta": (0.0,)}}, "common.alpha_beta: expected a list of integers"),
+    ({"common": {"alpha_beta": (True,)}}, "common.alpha_beta: expected a list of integers"),
+    ({"genus": True}, "genus and boundary must be integers"),
+    ({"boundary": 1.0}, "genus and boundary must be integers"),
+    ({"alpha": CurveSystem("beta", ((1, 0),))},
+     "alpha: expected a CurveSystem 'alpha' with a tuple of classes"),
+    ({"alpha": CurveSystem("alpha", [(1, 0)])},
+     "alpha: expected a CurveSystem 'alpha' with a tuple of classes"),
+    ({"beta": CurveSystem("beta", ([0, 1],))}, "beta[0]: expected a tuple of integers"),
+]
+
+
+@pytest.mark.parametrize("change,message", PROBES, ids=[m for _, m in PROBES])
+def test_off_contract_diagrams_are_refused_when_built(change, message):
+    with pytest.raises(TrisectError) as err:
+        StarDiagram(**{**CP2, **change})
+    assert type(err.value) is DiagramError
+    assert str(err.value) == message
+
+
+def test_claims_are_normalized_when_built():
+    d = StarDiagram(**CP2, common={"gamma_alpha": [], "alpha_beta": ()},
+                    geo={("gamma", 0, "alpha", 0): 2, ("beta", 0, "alpha", 0): 1})
+    assert d.common == {"gamma_alpha": (), "alpha_beta": ()}
+    assert d.geo == {("alpha", 0, "gamma", 0): 2, ("alpha", 0, "beta", 0): 1}
+    assert parse_diagram(serialize_diagram(d)) == d
+
+
+@st.composite
+def constructible_diagrams(draw):
+    """Diagrams with random claims on coinciding classes: common indices
+    as lists or tuples in any order, geo keys in either order."""
+    genus = draw(st.integers(0, 2))
+    pool = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (2 * genus)), min_size=1, max_size=3))
+    classes = {name: draw(st.lists(st.sampled_from(pool), max_size=3)) for name in SYSTEM_NAMES}
+    common = {}
+    for key in draw(st.lists(st.sampled_from(COMMON_KEYS), unique=True)):
+        a, b = (classes[name] for name in key.split("_"))
+        equal = [i for i in range(min(len(a), len(b))) if a[i] == b[i]]
+        chosen = draw(st.lists(st.sampled_from(equal), unique=True)) if equal else []
+        common[key] = draw(st.sampled_from((list, tuple)))(chosen)
+    curves = [(name, i) for name in SYSTEM_NAMES for i in range(len(classes[name]))]
+    pairs = [(u, v) for k, u in enumerate(curves) for v in curves[k + 1:]]
+    geo = {}
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []:
+        key = (*v, *u) if draw(st.booleans()) else (*u, *v)
+        geo[key] = draw(st.integers(0, 5))
+    systems = [CurveSystem(name, tuple(classes[name])) for name in SYSTEM_NAMES]
+    return StarDiagram(genus, draw(st.integers(0, 3)), *systems, common, geo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constructible_diagrams())
+def test_every_built_diagram_round_trips(d):
+    text = serialize_diagram(d)
+    assert parse_diagram(text) == d
+    assert serialize_diagram(parse_diagram(text)) == text

@@ -75,7 +75,7 @@ CASES = [
      ("FareyTriplet", "CP2#CP2#CP2bar", ("CP2", "S2x~S2"), FormClass("odd_indefinite", (2, 1)))),
     (SlideState, ("w1", "w2", "w3", "t3", "t1", "target"), ("M", "L", "", 0, 0, (1, 1))),
     (SlideMove, ("kind", "arg"), ("ExtendB1", 2)),
-    (HomologyReport, ("h1_free_rank", "h1_torsion", "euler"), (1, (2,), 3)),
+    (HomologyReport, ("h1_free_rank", "h1_torsion"), (1, (2,))),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
@@ -90,7 +90,6 @@ DEFAULTS = {
     FormClass: (("zero",), {"params": ()}),
     Gen: (("s12",), {"k": 0}),
     SlideMove: (("ShrinkA2",), {"arg": None}),
-    HomologyReport: ((0, ()), {"euler": None}),
 }
 
 UNHASHABLE = (StarDiagram, SurgeryPlan)  # fields hold dicts or lists
