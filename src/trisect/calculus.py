@@ -389,7 +389,11 @@ TAUEMPTY = PlanBlock("tauempty")
 
 def shear_block(f: Sequence[Sequence[int]]) -> PlanBlock:
     """The shear block of any 2x2 sequence; PlanBlock checks it."""
-    return PlanBlock("shear", tuple(tuple(row) for row in f))
+    try:
+        f = tuple(map(tuple, f))
+    except TypeError:  # not a sequence of rows: PlanBlock refuses it as such
+        pass
+    return PlanBlock("shear", f)
 
 
 def block_matrix(b: PlanBlock) -> IntMatrix:

@@ -216,6 +216,9 @@ class StarDiagram(Record):
                     if isinstance(x, bool) or not isinstance(x, int):
                         raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
 
+        for field, value in (("common", common), ("geo", geo)):
+            if not isinstance(value, (dict, type(None))):
+                raise DiagramError(f"{field}: expected a dict, got {type(value).__name__}")
         claims: Dict[str, Tuple[int, ...]] = {}
         for key, indices in (common or {}).items():
             if key not in COMMON_KEYS:

@@ -11,6 +11,9 @@ general rule only on the unit-free block that is left.  `cokernel_invariants`
 the unimodular transforms U and V; it serves callers that need them and is
 the reference the fast kernel is tested against.
 
+`determinant` (row swaps) and `sym_form_invariants` (symmetric swaps)
+share one fraction-free Bareiss step, so nothing here uses rationals.
+
 The SL3 word alphabet consists of the three quarter-turn matrices
 
     s12 = [[0,-1,0],[1,0,0],[0,0,1]]
@@ -88,31 +91,38 @@ def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
     return [[m[i][j] for i in range(r)] for j in range(c)]
 
 
+def _bareiss_step(a: IntMatrix, t: int, prev: int) -> int:
+    """Bareiss step on the pivot p = a[t][t], in place: for i, j > t,
+    a[i][j] = (p*a[i][j] - a[i][t]*a[t][j]) // prev, prev the last pivot
+    (1 at t = 0).  Exact by Sylvester's identity: each a[i][j] becomes the
+    minor on rows 0..t, i and columns 0..t, j of the input as the caller's
+    swaps and basis moves left it, and p its leading principal minor of
+    order t + 1.  Returns p."""
+    top = a[t]
+    p = top[t]
+    for row in a[t + 1:]:
+        x = row[t]
+        for j in range(t + 1, len(top)):
+            row[j] = (p * row[j] - x * top[j]) // prev
+    return p
+
+
 def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant via fraction-free Bareiss elimination with row swaps."""
     n, c = dims(m)
     if n != c:
         raise ValueError(f"determinant of non-square {n}x{c} matrix")
-    if n == 0:
-        return 1
     a = mat_copy(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+    sign = prev = 1
+    for t in range(n):
+        if a[t][t] == 0:
+            i = next((i for i in range(t + 1, n) if a[i][t]), None)
+            if i is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            a[t], a[i] = a[i], a[t]
+            sign = -sign
+        prev = _bareiss_step(a, t, prev)
+    return sign * prev
 
 
 def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
@@ -361,13 +371,15 @@ class FormInvariants(Record):
 def sym_form_invariants(q: Sequence[Sequence[int]]) -> FormInvariants:
     """Exact rank/signature/parity/determinant of a symmetric integer form.
 
-    Signature comes from congruence diagonalization over the rationals with
-    symmetric pivoting; a zero diagonal with nonzero off-diagonal entry is
-    handled by the x -> x + y basis move.  Parity is Even iff every diagonal
-    entry of q is even (equivalently q(x,x) is even for all x).
+    One Bareiss pass with symmetric swaps; when every remaining diagonal
+    entry is zero, the basis move x_i -> x_i + x_j (a[i][j] != 0) makes the
+    pivot 2*a[i][j].  Both are congruences, so the k-th pivot is a leading
+    principal minor D_k of a form congruent to q: rank is the number of
+    pivots, det is D_n (0 below full rank), and by Jacobi's rule a pivot is
+    negative iff D_k and D_{k-1} differ in sign (D_0 = 1).  Parity is Even
+    iff every diagonal entry of q is even (equivalently q(x,x) is even for
+    all x).
     """
-    from fractions import Fraction  # on first use: it would slow every verb's start
-
     check_int_matrix(q, "form")
     n, c = dims(q)
     if n != c:
@@ -377,54 +389,32 @@ def sym_form_invariants(q: Sequence[Sequence[int]]) -> FormInvariants:
             if q[i][j] != q[j][i]:
                 raise FormUndefined(f"form not symmetric at ({i},{j})")
 
-    det = determinant(q)
     parity = "Even" if all(q[i][i] % 2 == 0 for i in range(n)) else "Odd"
 
-    a = [[Fraction(x) for x in row] for row in q]
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def sym_add(i, j, f):
-        # basis move x_i -> x_i + f * x_j : row then column
-        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] += f * row[j]
-
-    pos = neg = 0
+    a = mat_copy(q)
+    prev, rank, neg = 1, 0, 0
     for t in range(n):
         if a[t][t] == 0:
-            # look for a later nonzero diagonal entry first
-            piv = next((i for i in range(t + 1, n) if a[i][i] != 0), None)
-            if piv is not None:
-                sym_swap(t, piv)
-            else:
-                # all remaining diagonal zero: find any off-diagonal entry
-                hit = None
-                for i in range(t, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            hit = (i, j)
-                            break
-                    if hit:
-                        break
+            piv = next((i for i in range(t + 1, n) if a[i][i]), None)
+            if piv is None:
+                hit = next(((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]), None)
                 if hit is None:
                     break  # remaining block is zero
-                i, j = hit
-                sym_add(i, j, Fraction(1))  # makes a[i][i] = 2*a[i][j] != 0
-                if i != t:
-                    sym_swap(t, i)
-        d = a[t][t]
-        if d > 0:
-            pos += 1
-        else:
+                # x_i -> x_i + x_j on the trailing block: row, then column
+                piv, j = hit
+                a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+                for row in a[t:]:
+                    row[piv] += row[j]
+            a[t], a[piv] = a[piv], a[t]
+            for row in a[t:]:
+                row[t], row[piv] = row[piv], row[t]
+        p = _bareiss_step(a, t, prev)
+        if (p > 0) != (prev > 0):
             neg += 1
-        for i in range(t + 1, n):
-            if a[i][t] != 0:
-                sym_add(i, t, -a[i][t] / d)
-    return FormInvariants(rank=pos + neg, signature=pos - neg, parity=parity, det=det)
+        rank += 1
+        prev = p
+    det = prev if rank == n else 0
+    return FormInvariants(rank=rank, signature=rank - 2 * neg, parity=parity, det=det)
 
 
 class FormClass(Record):

@@ -347,6 +347,9 @@ class TestPlans:
         ((1, True), (0, 1)),         # bool is not an integer entry
         ((1, 1), (1, 1)),            # det 0
         ((2, 0), (0, 1)),            # det 2
+        (1, 2),                      # rows that are not sequences
+        ((1, 0), 1),
+        5,                           # not a sequence at all
     ])
     def test_log_transform_and_shear_block_share_sl2_check(self, bad):
         with pytest.raises(NotSL2) as from_shear:

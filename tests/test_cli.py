@@ -381,7 +381,7 @@ class TestArgvFuzz:
 
 def test_import_leaves_unused_modules_unloaded():
     # start-up cost of every verb: these modules are slow to import and no
-    # verb needs them before it runs (csv, fractions and json load on first use)
+    # verb needs them before it runs (csv and json load on first use, fractions never)
     unused = ("dataclasses", "inspect", "fractions", "decimal", "csv", "json")
     code = f"import sys, trisect.cli; print(*[m for m in {unused!r} if m in sys.modules])"
     src = os.path.dirname(os.path.dirname(trisect.__file__))
@@ -393,7 +393,7 @@ def test_import_leaves_unused_modules_unloaded():
 
 def test_farey_verbs_leave_fractions_unloaded():
     # classify reads the form class off integers, so neither farey verb
-    # loads the Fraction elimination's modules
+    # loads fractions or decimal
     code = (
         "import contextlib, io, sys\n"
         "from trisect.cli import main\n"

@@ -379,6 +379,9 @@ PROBES = [
     ({"alpha": CurveSystem("alpha", [(1, 0)])},
      "alpha: expected a CurveSystem 'alpha' with a tuple of classes"),
     ({"beta": CurveSystem("beta", ([0, 1],))}, "beta[0]: expected a tuple of integers"),
+    ({"common": [("alpha_beta", (0,))]}, "common: expected a dict, got list"),
+    ({"geo": 5}, "geo: expected a dict, got int"),
+    ({"geo": [(("alpha", 0, "beta", 0), 1)]}, "geo: expected a dict, got list"),
 ]
 
 

@@ -1,24 +1,32 @@
 """Tests for exact integer linear algebra."""
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trisect
 from trisect import zmatrix
 from trisect.errors import FormUndefined, NotSL3, NotUnimodular
 from trisect.zmatrix import (
     CokernelInvariants,
     FormClass,
+    FormInvariants,
     Gen,
     SIGMA_12,
     SIGMA_23,
     SIGMA_31,
     SL3Word,
+    check_int_matrix,
     classify_unimodular,
     cokernel_invariants,
     determinant,
+    dims,
     gen_matrix,
     identity,
     is_unimodular,
@@ -59,6 +67,98 @@ def random_unimodular(rng, n, steps=12):
         else:
             u[i] = [-a for a in u[i]]
     return u
+
+
+def rational_sym_form_invariants(q):
+    """Reference for `sym_form_invariants`: its earlier implementation,
+    which computes det by Bareiss and then eliminates q a second time over
+    the rationals.
+
+    Signature comes from congruence diagonalization over the rationals with
+    symmetric pivoting; a zero diagonal with nonzero off-diagonal entry is
+    handled by the x -> x + y basis move.  Parity is Even iff every diagonal
+    entry of q is even (equivalently q(x,x) is even for all x).
+    """
+    check_int_matrix(q, "form")
+    n, c = dims(q)
+    if n != c:
+        raise FormUndefined(f"form must be square, got {n}x{c}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if q[i][j] != q[j][i]:
+                raise FormUndefined(f"form not symmetric at ({i},{j})")
+
+    det = determinant(q)
+    parity = "Even" if all(q[i][i] % 2 == 0 for i in range(n)) else "Odd"
+
+    a = [[Fraction(x) for x in row] for row in q]
+
+    def sym_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def sym_add(i, j, f):
+        # basis move x_i -> x_i + f * x_j : row then column
+        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] += f * row[j]
+
+    pos = neg = 0
+    for t in range(n):
+        if a[t][t] == 0:
+            # look for a later nonzero diagonal entry first
+            piv = next((i for i in range(t + 1, n) if a[i][i] != 0), None)
+            if piv is not None:
+                sym_swap(t, piv)
+            else:
+                # all remaining diagonal zero: find any off-diagonal entry
+                hit = None
+                for i in range(t, n):
+                    for j in range(i + 1, n):
+                        if a[i][j] != 0:
+                            hit = (i, j)
+                            break
+                    if hit:
+                        break
+                if hit is None:
+                    break  # remaining block is zero
+                i, j = hit
+                sym_add(i, j, Fraction(1))  # makes a[i][i] = 2*a[i][j] != 0
+                if i != t:
+                    sym_swap(t, i)
+        d = a[t][t]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(t + 1, n):
+            if a[i][t] != 0:
+                sym_add(i, t, -a[i][t] / d)
+    return FormInvariants(rank=pos + neg, signature=pos - neg, parity=parity, det=det)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric n x n forms, n <= 7: dense, with an all-zero diagonal,
+    sparse, or B^T D B with B of r <= n rows (singular when r < n)."""
+    n = draw(st.integers(0, 7))
+    shape = draw(st.sampled_from(("dense", "zero_diagonal", "sparse", "low_rank")))
+    if shape == "low_rank":
+        r = draw(st.integers(0, n))
+        b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=r, max_size=r))
+        d = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=r, max_size=r))
+        return [[sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+    bound = draw(st.sampled_from((1, 3, 9, 2 ** 40)))
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and shape == "zero_diagonal") or (shape == "sparse" and draw(st.booleans())):
+                continue
+            q[i][j] = q[j][i] = draw(st.integers(-bound, bound))
+    return q
 
 
 def verify_smith(m, u, s, v):
@@ -224,6 +324,42 @@ class TestFormInvariants:
             neg = poly.count_roots(-sympy.oo, 0) - zero
             assert inv.signature == pos - neg
             assert inv.rank == pos + neg
+
+
+class TestFormBareiss:
+    """sym_form_invariants (one Bareiss pass) against references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_forms())
+    @example([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    @example([[0, 0, 0], [0, 0, 5], [0, 5, 0]])
+    @example([[0, 0], [0, 0]])
+    @example([[1, 1], [1, 1]])
+    def test_matches_rational_oracle(self, q):
+        assert sym_form_invariants(q) == rational_sym_form_invariants(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_forms())
+    def test_det_and_rank_against_sympy(self, q):
+        sympy = pytest.importorskip("sympy")
+        m = sympy.Matrix(len(q), len(q), [x for row in q for x in row])
+        inv = sym_form_invariants(q)
+        assert inv.det == m.det()
+        assert inv.rank == m.rank()
+
+    def test_fractions_never_imported(self):
+        code = (
+            "import sys\n"
+            "from trisect.zmatrix import classify_unimodular, sym_form_invariants\n"
+            "sym_form_invariants([[0, 1, 2], [1, 0, 3], [2, 3, 0]])\n"
+            "classify_unimodular([[2, -1, 1], [-1, 0, 0], [1, 0, -1]])\n"
+            "print('fractions' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(trisect.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestSL3:
