@@ -391,8 +391,8 @@ def shear_block(f: Sequence[Sequence[int]]) -> PlanBlock:
     """The shear block of any 2x2 sequence; PlanBlock checks it."""
     try:
         f = tuple(map(tuple, f))
-    except TypeError:  # not a sequence of rows: PlanBlock refuses it as such
-        pass
+    except TypeError:  # not a sequence of rows, None included
+        raise NotSL2("shear payload must be 2x2") from None
     return PlanBlock("shear", f)
 
 

@@ -9,7 +9,7 @@ data keyed by curve pairs.
 
 import math
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .errors import DiagramError, VectorLength
@@ -94,12 +94,6 @@ class SymplecticLattice(Record):
     def dim(self) -> int:
         return 2 * self.genus
 
-    def basis_names(self) -> List[str]:
-        out = []
-        for i in range(1, self.genus + 1):
-            out += [f"e{i}", f"f{i}"]
-        return out
-
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != self.dim or len(v) != self.dim:
             raise VectorLength(
@@ -169,15 +163,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _claim_pairs(field: str, value):
+    """The (key, value) pairs of a common or geo argument: a dict or the stored tuple."""
+    if isinstance(value, dict):
+        return value.items()
+    if isinstance(value, tuple) and all(isinstance(p, tuple) and len(p) == 2 for p in value):
+        return value
+    raise DiagramError(f"{field}: expected a dict, got {type(value).__name__}")
+
+
 class StarDiagram(Record):
     """Three curve systems on one genus-g surface with b boundary circles.
 
-    common maps a system pair ("alpha_beta", ...) to indices of curves that
-    are literally shared: index i asserts the two systems' i-th classes are
-    equal.  geo maps curve-pair keys (system, index, system, index), in
-    either order, to nonnegative geometric intersection counts.  Both
-    default to a new empty dict; common is stored with sorted index tuples
-    and geo with its keys in system order.
+    common claims shared curves: ("alpha_beta", (0, 2)) says that the two
+    systems' 0th and 2nd classes are equal.  geo gives nonnegative
+    geometric intersection counts: (("alpha", 0, "beta", 1), 3).  Each is
+    stored as a tuple of such pairs in file order, so a diagram hashes and
+    never changes; dict(d.geo) gives a lookup.  The constructor takes each
+    as a dict (geo keys in either curve order) or in the stored form.
 
     Construction is the one place the file contract is checked, so every
     diagram that builds serializes to a file that parse_diagram reads back
@@ -194,8 +197,8 @@ class StarDiagram(Record):
         alpha: CurveSystem,
         beta: CurveSystem,
         gamma: CurveSystem,
-        common: Optional[Dict[str, Sequence[int]]] = None,
-        geo: Optional[Dict[GeoKey, int]] = None,
+        common: Union[Dict[str, Sequence[int]], tuple] = (),
+        geo: Union[Dict[GeoKey, int], tuple] = (),
     ):
         if not (_is_int(genus) and _is_int(boundary)):
             raise DiagramError("genus and boundary must be integers")
@@ -216,13 +219,12 @@ class StarDiagram(Record):
                     if isinstance(x, bool) or not isinstance(x, int):
                         raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
 
-        for field, value in (("common", common), ("geo", geo)):
-            if not isinstance(value, (dict, type(None))):
-                raise DiagramError(f"{field}: expected a dict, got {type(value).__name__}")
         claims: Dict[str, Tuple[int, ...]] = {}
-        for key, indices in (common or {}).items():
+        for key, indices in _claim_pairs("common", common):
             if key not in COMMON_KEYS:
                 raise DiagramError(f"common: unknown pair {key!r}")
+            if key in claims:
+                raise DiagramError(f"common: duplicate pair {key!r}")
             if not isinstance(indices, (list, tuple)) or not all(map(_is_int, indices)):
                 raise DiagramError(f"common.{key}: expected a list of integers")
             if len(set(indices)) != len(indices):
@@ -239,7 +241,7 @@ class StarDiagram(Record):
                     )
 
         counts: Dict[GeoKey, int] = {}
-        for pair, count in (geo or {}).items():
+        for pair, count in _claim_pairs("geo", geo):
             if not (isinstance(pair, tuple) and len(pair) == 4
                     and _is_int(pair[1]) and _is_int(pair[3])):
                 raise DiagramError(f"geo key {pair!r}: expected (system, index, system, index)")
@@ -252,14 +254,15 @@ class StarDiagram(Record):
                 raise DiagramError(f"geo key {text!r}: a curve cannot pair with itself")
             if not _is_int(count) or count < 0:
                 raise DiagramError(f"geo[{text!r}]: expected a nonnegative integer")
-            norm = min(pair, (sb, j, sa, i), key=lambda k: (SYSTEM_NAMES.index(k[0]), k[1]))
+            norm = min(pair, (sb, j, sa, i))  # SYSTEM_NAMES sort as strings in file order
             if norm in counts:
                 raise DiagramError(f"geo[{text!r}]: duplicate pair after normalization")
             for s, idx in ((sa, i), (sb, j)):
                 if idx < 0 or idx >= len(systems[s].classes):
                     raise DiagramError(f"geo {s}.{idx}: index out of range")
             counts[norm] = count
-        self._store(genus, boundary, alpha, beta, gamma, claims, counts)
+        common = tuple((key, claims[key]) for key in COMMON_KEYS if key in claims)
+        self._store(genus, boundary, alpha, beta, gamma, common, tuple(sorted(counts.items())))
 
     def system(self, name: str) -> CurveSystem:
         if name not in SYSTEM_NAMES:
@@ -457,7 +460,7 @@ _TOP_KEYS = ("basis", "genus", "boundary", "alpha", "beta", "gamma", "common", "
 
 
 def _expected_basis(genus: int) -> str:
-    return " ".join(SymplecticLattice(genus).basis_names())
+    return " ".join(f"e{i} f{i}" for i in range(1, genus + 1))
 
 
 def _parse_system(name: str, raw) -> CurveSystem:
@@ -473,9 +476,10 @@ def _parse_system(name: str, raw) -> CurveSystem:
 def parse_diagram(text: str) -> StarDiagram:
     """Parse the JSON diagram format; reject anything off-contract.
 
-    The parser reads the text into constructor arguments, and StarDiagram
-    checks them.  Errors carry the offending field path (or line/column
-    for malformed JSON).
+    The parser only reads the text: the JSON shapes, the field names and
+    the geo key syntax.  StarDiagram checks the values it reads, and the
+    basis header is compared with the genus of the built diagram.  Errors
+    carry the offending field path (or line/column for malformed JSON).
     """
     import json  # on first use, so that verbs that read no diagram start without it
 
@@ -493,19 +497,10 @@ def parse_diagram(text: str) -> StarDiagram:
     for key in ("genus", "alpha", "beta", "gamma"):
         if key not in raw:
             raise DiagramError(f"missing field {key!r}")
-    genus, boundary = raw["genus"], raw.get("boundary", 0)
-    for field, value in (("genus", genus), ("boundary", boundary)):
-        if not _is_int(value) or value < 0:
-            raise DiagramError(f"{field}: expected a nonnegative integer, got {value!r}")
-    if "basis" in raw:
-        expected = _expected_basis(genus)
-        if raw["basis"] != expected:
-            raise DiagramError(f'basis: expected "{expected}", got {raw["basis"]!r}')
     systems = [_parse_system(name, raw[name]) for name in SYSTEM_NAMES]
-    common, geo = raw.get("common", {}), raw.get("geo", {})
-    for field, value in (("common", common), ("geo", geo)):
-        if not isinstance(value, dict):
-            raise DiagramError(f"{field}: expected an object")
+    geo = raw.get("geo", {})
+    if not isinstance(geo, dict):
+        raise DiagramError("geo: expected an object")
     pairs: Dict[GeoKey, object] = {}
     for key, count in geo.items():
         try:
@@ -517,11 +512,17 @@ def parse_diagram(text: str) -> StarDiagram:
         if pair in pairs:  # one pair spelled twice, as "alpha.0:beta.0" and "alpha.00:beta.0"
             raise DiagramError(f"geo[{key!r}]: duplicate pair after normalization")
         pairs[pair] = count
-    return StarDiagram(genus, boundary, *systems, common, pairs)
+    d = StarDiagram(raw["genus"], raw.get("boundary", 0), *systems, raw.get("common", {}), pairs)
+    basis = raw.get("basis")
+    # count the names first, so that a short header with a huge genus builds nothing
+    if "basis" in raw and not (isinstance(basis, str) and len(basis.split()) == 2 * d.genus
+                               and basis == _expected_basis(d.genus)):
+        raise DiagramError(f"basis: expected e1 f1 ... eg fg with g = {d.genus}, got {basis!r}")
+    return d
 
 
 def serialize_diagram(d: StarDiagram) -> str:
-    """Canonical serialization: fixed key order, sorted common/geo entries.
+    """Canonical serialization: fixed key order, claims in their stored order.
 
     parse . serialize is the identity on diagrams, and serialize . parse is
     the identity on canonical files.
@@ -537,9 +538,7 @@ def serialize_diagram(d: StarDiagram) -> str:
         "gamma": [list(v) for v in d.gamma.classes],
     }
     if d.common:
-        obj["common"] = {key: list(d.common[key]) for key in sorted(d.common, key=COMMON_KEYS.index)}
+        obj["common"] = {key: list(indices) for key, indices in d.common}
     if d.geo:
-        rank = SYSTEM_NAMES.index
-        keys = sorted(d.geo, key=lambda k: (rank(k[0]), k[1], rank(k[2]), k[3]))
-        obj["geo"] = {"{}.{}:{}.{}".format(*k): d.geo[k] for k in keys}
+        obj["geo"] = {"{}.{}:{}.{}".format(*key): count for key, count in d.geo}
     return json.dumps(obj, indent=1)

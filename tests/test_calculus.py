@@ -350,6 +350,7 @@ class TestPlans:
         (1, 2),                      # rows that are not sequences
         ((1, 0), 1),
         5,                           # not a sequence at all
+        None,                        # not a payload, though PlanBlock reads None as none
     ])
     def test_log_transform_and_shear_block_share_sl2_check(self, bad):
         with pytest.raises(NotSL2) as from_shear:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -268,7 +270,8 @@ class TestParseSerialize:
         text = serialize_diagram(parse_diagram(json.dumps(obj)))
         d2 = parse_diagram(text)
         assert serialize_diagram(d2) == text
-        assert d2.common["alpha_beta"] == (1,)
+        assert d2.common == (("alpha_beta", (1,)),)
+        assert d2.geo == ((("alpha", 0, "beta", 0), 1),)
 
 
 class TestParams:
@@ -382,6 +385,15 @@ PROBES = [
     ({"common": [("alpha_beta", (0,))]}, "common: expected a dict, got list"),
     ({"geo": 5}, "geo: expected a dict, got int"),
     ({"geo": [(("alpha", 0, "beta", 0), 1)]}, "geo: expected a dict, got list"),
+    # the stored tuple form, read back only as (key, value) pairs with distinct keys
+    ({"common": (("alpha_beta", ()), ("alpha_beta", ()))}, "common: duplicate pair 'alpha_beta'"),
+    ({"common": ((["alpha_beta"], ()),)}, "common: unknown pair ['alpha_beta']"),
+    ({"common": (("alpha_beta",),)}, "common: expected a dict, got tuple"),
+    ({"geo": ((("alpha", 0, "beta", 0), 1), (("alpha", 0, "beta", 0), 2))},
+     "geo['alpha.0:beta.0']: duplicate pair after normalization"),
+    ({"geo": ((["alpha", 0, "beta", 0], 1),)},
+     "geo key ['alpha', 0, 'beta', 0]: expected (system, index, system, index)"),
+    ({"geo": ((("alpha", 0, "beta", 0), 1, 2),)}, "geo: expected a dict, got tuple"),
 ]
 
 
@@ -394,10 +406,11 @@ def test_off_contract_diagrams_are_refused_when_built(change, message):
 
 
 def test_claims_are_normalized_when_built():
-    d = StarDiagram(**CP2, common={"gamma_alpha": [], "alpha_beta": ()},
+    # stored in file order: common by COMMON_KEYS, geo sorted by oriented key
+    d = StarDiagram(**CP2, common={"alpha_beta": (), "gamma_alpha": []},
                     geo={("gamma", 0, "alpha", 0): 2, ("beta", 0, "alpha", 0): 1})
-    assert d.common == {"gamma_alpha": (), "alpha_beta": ()}
-    assert d.geo == {("alpha", 0, "gamma", 0): 2, ("alpha", 0, "beta", 0): 1}
+    assert d.common == (("gamma_alpha", ()), ("alpha_beta", ()))
+    assert d.geo == ((("alpha", 0, "beta", 0), 1), (("alpha", 0, "gamma", 0), 2))
     assert parse_diagram(serialize_diagram(d)) == d
 
 
@@ -430,3 +443,53 @@ def test_every_built_diagram_round_trips(d):
     text = serialize_diagram(d)
     assert parse_diagram(text) == d
     assert serialize_diagram(parse_diagram(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(constructible_diagrams(), st.randoms(use_true_random=False))
+def test_built_diagrams_are_frozen_values(d, rnd):
+    assert isinstance(d.common, tuple) and isinstance(d.geo, tuple)
+    assert [key for key, _ in d.common] == [key for key in COMMON_KEYS if key in dict(d.common)]
+    assert all(list(indices) == sorted(indices) for _, indices in d.common)
+    assert [key for key, _ in d.geo] == sorted(dict(d.geo))
+    # the same claims in another dict order, indices shuffled and geo keys turned around
+    common = [(key, rnd.sample(indices, len(indices))) for key, indices in d.common]
+    geo = [((sb, j, sa, i) if rnd.random() < 0.5 else (sa, i, sb, j), count)
+           for (sa, i, sb, j), count in d.geo]
+    rnd.shuffle(common)
+    rnd.shuffle(geo)
+    systems = (d.alpha, d.beta, d.gamma)
+    for e in (StarDiagram(d.genus, d.boundary, *systems, dict(common), dict(geo)),
+              StarDiagram(d.genus, d.boundary, *systems, d.common, d.geo),
+              copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert e == d and hash(e) == hash(d)
+
+
+# refused by the constructor, so a file that carries them gets the same message
+BAD_FIELDS = [
+    ("genus", -1, "genus and boundary must be >= 0"),
+    ("genus", "2", "genus and boundary must be integers"),
+    ("boundary", 1.5, "genus and boundary must be integers"),
+    ("common", [], "common: expected a dict, got list"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", BAD_FIELDS, ids=[f"{f}={v!r}" for f, v, _ in BAD_FIELDS])
+def test_file_and_constructor_refuse_alike(field, value, message):
+    with pytest.raises(DiagramError) as built:
+        StarDiagram(**{**CP2, field: value})
+    with pytest.raises(DiagramError) as parsed:
+        parse_diagram(json.dumps({**json.loads(cp2_text()), field: value}))
+    assert str(built.value) == str(parsed.value) == message
+
+
+def test_basis_header_is_checked_at_the_cost_of_the_file():
+    # a short header claiming a huge genus: no 2g names are built or quoted
+    text = json.dumps({"basis": "e1 f1", "genus": 10**6, "alpha": [], "beta": [], "gamma": []})
+    with pytest.raises(DiagramError) as err:
+        parse_diagram(text)
+    assert len(str(err.value)) < 200
+    assert str(err.value) == "basis: expected e1 f1 ... eg fg with g = 1000000, got 'e1 f1'"
+    for header in ("e1 f1 e2  f2", "e1 f1 f2 e2", ["e1", "f1", "e2", "f2"]):
+        with pytest.raises(DiagramError, match="basis"):
+            parse_diagram(json.dumps({"basis": header, "genus": 2, "alpha": [], "beta": [], "gamma": []}))

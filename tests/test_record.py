@@ -51,7 +51,7 @@ CASES = [
     (CurveSystem, ("label", "classes"), ("alpha", ((1, 0, 0, 0), (0, 0, 1, 0)))),
     (Violation, ("kind", "message", "advisory"), ("zero_class", "alpha[0] is null", True)),
     (StarDiagram, ("genus", "boundary", "alpha", "beta", "gamma", "common", "geo"),
-     (1, 0, A, B, C, {"alpha_beta": ()}, {("alpha", 0, "beta", 0): 1})),
+     (1, 0, A, B, C, (("alpha_beta", ()),), ((("alpha", 0, "beta", 0), 1),))),
     (BridgeData, ("b", "c"), (2, (1, 1, 2))),
     (TrisectionParams, ("genus", "k", "boundary", "bridge"),
      (3, (1, 1, 1), 0, BridgeData(2, (1, 1, 2)))),
@@ -82,7 +82,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 # class: (the fields without defaults, {defaulted field: default})
 DEFAULTS = {
     Violation: (("pairing", "m"), {"advisory": False}),
-    StarDiagram: ((1, 0, A, B, C), {"common": {}, "geo": {}}),
+    StarDiagram: ((1, 0, A, B, C), {"common": (), "geo": ()}),
     TrisectionParams: ((3, (1, 1, 1)), {"boundary": 0, "bridge": None}),
     PastingInput: ((TrisectionParams(1, None), TrisectionParams(1, None), ClosedPage(0)),
                    {"common": None}),
@@ -92,7 +92,7 @@ DEFAULTS = {
     SlideMove: (("ShrinkA2",), {"arg": None}),
 }
 
-UNHASHABLE = (StarDiagram, SurgeryPlan)  # fields hold dicts or lists
+UNHASHABLE = (SurgeryPlan,)  # its composite is a list
 
 
 def fields_of(x, names):
@@ -230,12 +230,14 @@ def test_defaults(cls):
 
 
 def test_star_diagrams_do_not_share_default_dicts():
+    # the claims are tuples, so there is nothing to share
     d1, d2 = StarDiagram(1, 0, A, B, C), StarDiagram(1, 0, A, B, C)
-    assert d1.common is not d2.common
-    assert d1.geo is not d2.geo
-    d1.common["alpha_beta"] = (0,)
-    d1.geo[("alpha", 0, "beta", 0)] = 1
-    assert d2.common == {} and d2.geo == {}
+    assert d1.common == d2.common == () and d1.geo == d2.geo == ()
+    with pytest.raises(TypeError):
+        d1.geo[("alpha", 0, "beta", 0)] = 1
+    with pytest.raises(AttributeError):
+        d1.common.append(("alpha_beta", (0,)))
+    assert hash(d1) == hash(d2)
 
 
 def test_deepcopy_copies_mutable_fields():
