@@ -18,7 +18,7 @@ the one place that composite is checked against the block product.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .diagram import CurveSystem, StarDiagram, TrisectionParams
+from .diagram import CurveSystem, StarDiagram, TrisectionParams, _is_int
 from .errors import (
     CannotDestabilize,
     CellDecompositionMismatch,
@@ -36,6 +36,8 @@ class ClosedPage(Record):
     __slots__ = ("page_genus",)
 
     def __init__(self, page_genus: int):
+        if not _is_int(page_genus):
+            raise DiagramError("page genus must be an integer")
         if page_genus < 0:
             raise DiagramError("page genus must be >= 0")
         self._store(page_genus)
@@ -46,6 +48,8 @@ class BoundaryCircles(Record):
     __slots__ = ("circles",)
 
     def __init__(self, circles: int):
+        if not _is_int(circles):
+            raise DiagramError("boundary circles must be an integer")
         if circles < 1:
             raise CellDecompositionMismatch("boundary-circle pasting needs n >= 1")
         self._store(circles)

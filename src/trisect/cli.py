@@ -13,7 +13,6 @@ given input.
 """
 
 import argparse
-import io
 import os
 import sys
 from typing import List, Optional
@@ -197,25 +196,31 @@ def _cmd_farey_atlas(args) -> int:
             raise DiagramError(f"TRISECT_MAX_DEN={env!r}: expected an integer") from None
     if max_den < 0:
         raise DiagramError("max denominator must be >= 0")
+    if args.json and not args.out:
+        _emit(args, [], {"max_den": max_den, "rows": list(atlas_rows(max_den))})
+        return 0
     import csv  # on first use, so that the other verbs start without it
 
-    rows = list(atlas_rows(max_den))
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise DiagramError(f"cannot write {args.out}: {e}") from None
-        _emit(args, [f"wrote {len(rows)} rows to {args.out}"],
-              {"max_den": max_den, "rows": len(rows), "out": args.out})
-    else:
-        _emit(args, text.splitlines(), {"max_den": max_den, "rows": rows})
+    def write_csv(fh) -> int:
+        # each row is written as it is produced; returns the row count
+        writer = csv.DictWriter(fh, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        count = 0
+        for row in atlas_rows(max_den):
+            writer.writerow(row)
+            count += 1
+        return count
+
+    if not args.out:
+        write_csv(sys.stdout)  # a closed pipe ends in main, as for any verb
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            count = write_csv(fh)
+    except OSError as e:
+        raise DiagramError(f"cannot write {args.out}: {e}") from None
+    _emit(args, [f"wrote {count} rows to {args.out}"],
+          {"max_den": max_den, "rows": count, "out": args.out})
     return 0
 
 

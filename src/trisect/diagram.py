@@ -371,11 +371,13 @@ class BridgeData(Record):
     __slots__ = ("b", "c")
 
     def __init__(self, b: int, c: Tuple[int, int, int]):
+        if not (_is_int(b) and isinstance(c, (list, tuple)) and all(map(_is_int, c))):
+            raise DiagramError("bridge data must be integers")
         if len(c) != 3 or any(ci < 0 for ci in c):
             raise DiagramError("bridge data needs three counts >= 0")
         if max(c) < 1 or b < max(c):
             raise DiagramError("bridge data requires b >= max(c_i) >= 1")
-        self._store(b, c)
+        self._store(b, tuple(c))
 
 
 class TrisectionParams(Record):
@@ -393,11 +395,16 @@ class TrisectionParams(Record):
         boundary: int = 0,
         bridge: Optional[BridgeData] = None,
     ):
+        if not (_is_int(genus) and _is_int(boundary)):
+            raise DiagramError("genus and boundary must be integers")
         if genus < 0 or boundary < 0:
             raise DiagramError("genus and boundary must be >= 0")
         if k is not None:
-            if len(k) != 3:
+            if not isinstance(k, (list, tuple)) or len(k) != 3:
                 raise DiagramError("k must be a triple")
+            k = tuple(k)
+            if not all(map(_is_int, k)):
+                raise DiagramError(f"k = {k}: sector genera must be integers")
             for ki in k:
                 if ki < 0:
                     raise DiagramError(f"k = {k}: sector genera must be >= 0")
@@ -408,7 +415,7 @@ class TrisectionParams(Record):
         self._store(genus, k, boundary, bridge)
 
     def with_bridge(self, b: int, c: Tuple[int, int, int]) -> "TrisectionParams":
-        return TrisectionParams(self.genus, self.k, self.boundary, BridgeData(b, tuple(c)))
+        return TrisectionParams(self.genus, self.k, self.boundary, BridgeData(b, c))
 
 
 def parse_params(text: str) -> TrisectionParams:

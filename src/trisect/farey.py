@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from ._record import Record
 from .diagram import CurveSystem, Fraction, StarDiagram, dmet
-from .errors import FormUndefined, NotNeighbors, NotUnimodular
+from .errors import FormUndefined, NotNeighbors
 from .zmatrix import FormClass, IntMatrix
 
 KIND_INVALID = "Invalid"
@@ -86,13 +86,6 @@ def triple_kind(t: FareyTriple) -> str:
     return KIND_TRIPLET
 
 
-def _exact(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r != 0:
-        raise FormUndefined(f"non-exact division {num}/{den} in form formula")
-    return q
-
-
 def _two_distinct_split(t: FareyTriple) -> Tuple[Fraction, Fraction]:
     """(distinct fraction, repeated fraction) for a TwoDistinct triple."""
     fracs = [t.x, t.y, t.z]
@@ -105,11 +98,12 @@ def _two_distinct_split(t: FareyTriple) -> Tuple[Fraction, Fraction]:
 
 
 def _triplet_corner(x: Fraction, y: Fraction, z: Fraction) -> int:
-    """qx[2][2] of the triplet (x, y, z): (bp-aq)(cq-dp)/(bc-ad)."""
+    """qx[2][2] of the triplet (x, y, z): (bp-aq)(cq-dp)/(bc-ad), a
+    product since bc - ad = +-1."""
     a, b = x.num, x.den
     c, d = y.num, y.den
     p, q = z.num, z.den
-    return _exact((b * p - a * q) * (c * q - d * p), b * c - a * d)
+    return (b * p - a * q) * (c * q - d * p) * (b * c - a * d)
 
 
 def qx(t: FareyTriple) -> IntMatrix:
@@ -121,17 +115,17 @@ def qx(t: FareyTriple) -> IntMatrix:
          [b(cq-dp)/(bc-ad), 0, (bp-aq)(cq-dp)/(bc-ad)]];
     with a repeated fraction the triple is first permuted so the repeat
     sits in slots 2-3, where the third row and column vanish and the
-    2x2 block [[bd/(ad-bc), -1], [-1, 0]] remains.  Every division is
-    exact because the divisors are Farey distances +-1.
+    2x2 block [[bd/(ad-bc), -1], [-1, 0]] remains.  Every divisor is a
+    Farey distance +-1 for a valid triple, so each division is a product.
     """
     kind = triple_kind(t)
     if kind == KIND_TRIPLET:
         a, b = t.x.num, t.x.den
         c, d = t.y.num, t.y.den
         p, q = t.z.num, t.z.den
-        off = _exact(b * (c * q - d * p), b * c - a * d)
+        off = b * (c * q - d * p) * (b * c - a * d)
         return [
-            [_exact(b * d, a * d - b * c), -1, off],
+            [b * d * (a * d - b * c), -1, off],
             [-1, 0, 0],
             [off, 0, _triplet_corner(t.x, t.y, t.z)],
         ]
@@ -139,7 +133,7 @@ def qx(t: FareyTriple) -> IntMatrix:
         lone, repeated = _two_distinct_split(t)
         a, b = lone.num, lone.den
         c, d = repeated.num, repeated.den
-        return [[_exact(b * d, a * d - b * c), -1], [-1, 0]]
+        return [[b * d * (a * d - b * c), -1], [-1, 0]]
     raise FormUndefined(f"no intersection form for a {kind} triple")
 
 
@@ -149,8 +143,7 @@ def classify(t: FareyTriple) -> FareyClassification:
     The form class is read off integers with no elimination, by the
     argument of the module docstring: the parity of bd for two distinct
     fractions, and the corner C = qx[2][2] = -det qx of the sorted triplet
-    (C = 1: odd_indefinite (2, 1); C = -1: (1, 2)).  A corner other than
-    +-1 would raise NotUnimodular, as `classify_unimodular` does.
+    (C = 1: odd_indefinite (2, 1); C = -1: (1, 2)).
     """
     kind = triple_kind(t)
     if kind == KIND_INVALID:
@@ -168,9 +161,7 @@ def classify(t: FareyTriple) -> FareyClassification:
     corner = _triplet_corner(*sorted(t, key=lambda f: (f.den, f.num)))
     if corner == 1:
         return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
-    if corner == -1:
-        return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
-    raise NotUnimodular(f"form determinant is {-corner}, need +-1")
+    return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
 
 
 def mediants(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:

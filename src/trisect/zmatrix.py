@@ -4,12 +4,14 @@ and factorization in SL3(Z).
 Matrices are plain lists of lists of Python ints (row major), so every
 computation is arbitrary-precision exact.  Nothing here rounds.
 
-There are two Smith form kernels.  `smith_diagonal` computes the
-diagonal alone: it eliminates +-1 pivots on sparse rows first and runs the
-general rule only on the unit-free block that is left.  `cokernel_invariants`
-(and so H1 of a diagram) goes through it.  `smith_normal_form` also builds
-the unimodular transforms U and V; it serves callers that need them and is
-the reference the fast kernel is tested against.
+There is one dense Smith pivot loop, `_smith_block`, and two kernels call
+it.  `smith_normal_form` runs it on the matrix bordered by identities, so
+the same row and column operations build the unimodular transforms U and
+V; it serves callers that need them and is the reference the fast kernel
+is tested against.  `smith_diagonal` computes the diagonal alone: it
+eliminates +-1 pivots on sparse rows first and runs the loop, unbordered,
+only on the unit-free block that is left.  `cokernel_invariants` (and so
+H1 of a diagram) goes through it.
 
 `determinant` (row swaps) and `sym_form_invariants` (symmetric swaps)
 share one fraction-free Bareiss step, so nothing here uses rationals.
@@ -138,89 +140,16 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
     """Return (U, S, V) with U*m*V = S in Smith normal form.
 
     U and V are unimodular; S is diagonal with nonnegative entries
-    satisfying S[i][i] | S[i+1][i+1].
+    satisfying S[i][i] | S[i+1][i+1].  The pivot loop runs on the bordered
+    matrix [[m, I_r], [I_c, 0]]: its row operations carry the top-right
+    block from I_r to U and its column operations the bottom-left block
+    from I_c to V (Cohen, GTM 138, section 2.4).
     """
     check_int_matrix(m)
     r, c = dims(m)
-    s = mat_copy(m)
-    u = identity(r)
-    v = identity(c)
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_add(i, j, k):
-        # row_i += k * row_j
-        s[i] = [a + k * b for a, b in zip(s[i], s[j])]
-        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
-
-    def row_neg(i):
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
-
-    def col_swap(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_add(i, j, k):
-        # col_i += k * col_j
-        for row in s:
-            row[i] += k * row[j]
-        for row in v:
-            row[i] += k * row[j]
-
-    n = min(r, c)
-    for t in range(n):
-        while True:
-            # locate a pivot: smallest nonzero magnitude in the block
-            pi = pj = -1
-            best = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    x = abs(s[i][j])
-                    if x and (best is None or x < best):
-                        best, pi, pj = x, i, j
-            if best is None:
-                break
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            # clear column t, restarting if a smaller remainder shows up
-            dirty = False
-            for i in range(t + 1, r):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    row_add(i, t, -q)
-                    if s[i][t]:
-                        dirty = True
-            for j in range(t + 1, c):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    col_add(j, t, -q)
-                    if s[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot divides the whole remaining block?
-            p = s[t][t]
-            culprit = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if s[i][j] % p:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            row_add(t, culprit, 1)
-        if t < r and t < c and s[t][t] < 0:
-            row_neg(t)
-    return u, s, v
+    s = [list(row) + e for row, e in zip(m, identity(r))] + [e + [0] * r for e in identity(c)]
+    _smith_block(s, r, c)
+    return [row[c:] for row in s[:r]], [row[:c] for row in s[:r]], [row[:c] for row in s[r:]]
 
 
 def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
@@ -235,9 +164,9 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
        complement step.  The column operations that would clear the pivot
        row then change that row only, so the row is dropped and a
        diagonal 1 emitted.
-    2. On the unit-free remainder, `smith_normal_form`'s pivot rule
-       (smallest magnitude, then the divisibility fix-up) with no
-       transforms kept.
+    2. On the unit-free remainder, `_smith_block`: the pivot loop that
+       `smith_normal_form` runs on a bordered matrix, here with no border
+       and so no transforms kept.
 
     Validates m like `smith_normal_form` does.
     """
@@ -278,7 +207,7 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
         ones += 1
     cols = sorted({j for row in rows for j in row})
     block = [[row.get(j, 0) for j in cols] for row in rows]
-    diag = [1] * ones + _dense_diagonal(block)
+    diag = [1] * ones + _smith_block(block, len(block), len(cols))
     return diag + [0] * (min(r, c) - len(diag))
 
 
@@ -295,10 +224,19 @@ def _unit_pivot(rows: List[dict], counts: List[int]) -> Optional[Tuple[int, int]
     return None if best is None else best[1:]
 
 
-def _dense_diagonal(s: IntMatrix) -> List[int]:
-    """Nonzero Smith diagonal of s (modified in place), by the pivot rule of
-    `smith_normal_form` with no transforms kept."""
-    r, c = dims(s)
+def _smith_block(s: IntMatrix, r: int, c: int) -> List[int]:
+    """Smith pivot loop on the top-left r x c block of s, in place; returns
+    the nonzero diagonal.
+
+    Pivot: the smallest nonzero magnitude in the trailing block, first in
+    row-major order.  Its row and column are cleared with floor quotients,
+    restarting while a remainder is left; a pivot that does not divide the
+    trailing block gets the first row holding a non-multiple added, and is
+    sought again.  A final negative pivot has its row negated.  Only the
+    block is read, but row operations act on whole rows and column
+    operations on every row from the pivot down, so anything bordering the
+    block records the transforms.
+    """
     diag: List[int] = []
     for t in range(min(r, c)):
         while True:
@@ -336,12 +274,14 @@ def _dense_diagonal(s: IntMatrix) -> List[int]:
             if dirty:
                 continue
             culprit = next(
-                (i for i in range(t + 1, r) if any(x % p for x in s[i][t + 1:])), None
+                (i for i in range(t + 1, r) if any(x % p for x in s[i][t + 1:c])), None
             )
             if culprit is None:
                 break
             s[t] = [a + b for a, b in zip(top, s[culprit])]
-        diag.append(abs(s[t][t]))
+        if s[t][t] < 0:
+            s[t] = [-a for a in s[t]]
+        diag.append(s[t][t])
     return diag
 
 

@@ -26,7 +26,7 @@ from trisect.calculus import (
     shear_block,
     surgery_plan_general,
 )
-from trisect.diagram import CurveSystem, StarDiagram, parse_params
+from trisect.diagram import BridgeData, CurveSystem, StarDiagram, TrisectionParams, parse_params
 from trisect.errors import (
     CannotDestabilize,
     CellDecompositionMismatch,
@@ -35,6 +35,46 @@ from trisect.errors import (
     NotSL3,
 )
 from trisect.zmatrix import Gen, gen_matrix, identity, mat_mul
+
+
+NON_INTEGER_PROBES = [
+    pytest.param(lambda: TrisectionParams(2.5, (1, 1, 1)), id="float genus"),
+    pytest.param(lambda: TrisectionParams("2", (1, 1, 1)), id="str genus"),
+    pytest.param(lambda: TrisectionParams(True, (1, 1, 1)), id="bool genus"),
+    pytest.param(lambda: TrisectionParams(3, (1, 1, 1), 1.0), id="float boundary"),
+    pytest.param(lambda: TrisectionParams(3, (1.5, 1, 1)), id="float k"),
+    pytest.param(lambda: TrisectionParams(3, (True, 1, 1)), id="bool k"),
+    pytest.param(lambda: TrisectionParams(3, "111"), id="str k"),
+    pytest.param(lambda: BridgeData(2.0, (1, 1, 1)), id="float b"),
+    pytest.param(lambda: BridgeData(2, (1, "1", 1)), id="str c"),
+    pytest.param(lambda: BridgeData(2, 3), id="int c"),
+    pytest.param(lambda: ClosedPage(0.5), id="float page genus"),
+    pytest.param(lambda: ClosedPage(False), id="bool page genus"),
+    pytest.param(lambda: BoundaryCircles(1.0), id="float circles"),
+    pytest.param(lambda: BoundaryCircles(True), id="bool circles"),
+    pytest.param(lambda: destabilize(TrisectionParams(3, (1, 1, 1)), 1, 0.5), id="float times"),
+    pytest.param(lambda: curve_complement(TrisectionParams(3, (1, 1, 1)), (0.5,) * 3),
+                 id="float arcs"),
+    pytest.param(lambda: paste(PastingInput(
+        TrisectionParams(1, (0, 0, 0)), TrisectionParams(1, (0, 0, 0)), ClosedPage(1.5))),
+        id="float page genus in paste"),
+]
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_PROBES)
+def test_parameter_records_refuse_non_integers(build):
+    with pytest.raises(DiagramError):
+        build()
+
+
+def test_parameter_records_store_tuples_and_hash():
+    p = TrisectionParams(2, [1, 1, 1])
+    b = BridgeData(2, [1, 1, 1])
+    assert p.k == (1, 1, 1) and b.c == (1, 1, 1)
+    assert p == TrisectionParams(2, (1, 1, 1)) and b == BridgeData(2, (1, 1, 1))
+    assert hash(p) == hash(TrisectionParams(2, (1, 1, 1)))
+    assert hash(b) == hash(BridgeData(2, (1, 1, 1)))
+    assert p.with_bridge(2, [1, 1, 1]).bridge == b
 
 
 class TestPaste:

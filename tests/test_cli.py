@@ -317,6 +317,25 @@ class TestAtlas:
         code, out, _ = run("farey-atlas", "--max-den", "0")
         assert len(out.splitlines()) == 2
 
+    @pytest.mark.parametrize("max_den", range(7))
+    def test_stdout_and_file_match_a_csv_writer(self, run, tmp_path, max_den):
+        import csv
+
+        from trisect.cli import ATLAS_COLUMNS
+        from trisect.farey import atlas_rows
+
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(atlas_rows(max_den))
+        expected = buf.getvalue()
+        code, out, _ = run("farey-atlas", "--max-den", str(max_den))
+        assert code == 0 and out == expected
+        target = tmp_path / "atlas.csv"
+        code, out, _ = run("farey-atlas", "--max-den", str(max_den), "--out", str(target))
+        assert code == 0 and target.read_bytes() == expected.encode()
+        assert out == f"wrote {expected.count(chr(10)) - 1} rows to {target}\n"
+
 
 VERBS = ("validate", "invariants", "farey-classify", "farey-atlas", "paste", "fiber-sum",
          "destab", "poke", "complement", "plan", "slide")

@@ -1,9 +1,12 @@
-"""Differential tests for the diagonal-only Smith kernel.
+"""Differential tests for the Smith kernels.
 
 `smith_diagonal` must agree with the diagonal of `smith_normal_form` (the
 reference that also builds U and V) and with sympy's Smith form, on random
 matrices and on block sums of Farey homology models whose H1 is known in
-closed form.
+closed form.  `smith_normal_form`, which runs the shared pivot loop on a
+bordered matrix, must return exactly the (U, S, V) of the earlier
+implementation pinned below, which kept U and V by explicit row and column
+operations.
 """
 
 import random
@@ -17,7 +20,9 @@ from trisect import zmatrix
 from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice
 from trisect.farey import enumerate_triples, farey_homology_model
 from trisect.invariants import first_homology
-from trisect.zmatrix import dims, smith_diagonal, smith_normal_form
+from trisect.zmatrix import check_int_matrix, dims, identity, mat_copy, smith_diagonal, smith_normal_form
+
+from test_zmatrix import verify_smith
 
 # every entry +-1 or 0, and no entry +-1 at all (forces the general pivots)
 UNITS = st.sampled_from((-1, 0, 1))
@@ -98,6 +103,123 @@ class TestRandomMatrices:
             smith_diagonal([[1, 2], [3]])
         with pytest.raises(ValueError):
             smith_diagonal([[True]])
+
+
+def pinned_smith_normal_form(m):
+    """The earlier smith_normal_form, verbatim but for its name."""
+    check_int_matrix(m)
+    r, c = dims(m)
+    s = mat_copy(m)
+    u = identity(r)
+    v = identity(c)
+
+    def row_swap(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_add(i, j, k):
+        # row_i += k * row_j
+        s[i] = [a + k * b for a, b in zip(s[i], s[j])]
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+
+    def row_neg(i):
+        s[i] = [-a for a in s[i]]
+        u[i] = [-a for a in u[i]]
+
+    def col_swap(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def col_add(i, j, k):
+        # col_i += k * col_j
+        for row in s:
+            row[i] += k * row[j]
+        for row in v:
+            row[i] += k * row[j]
+
+    n = min(r, c)
+    for t in range(n):
+        while True:
+            # locate a pivot: smallest nonzero magnitude in the block
+            pi = pj = -1
+            best = None
+            for i in range(t, r):
+                for j in range(t, c):
+                    x = abs(s[i][j])
+                    if x and (best is None or x < best):
+                        best, pi, pj = x, i, j
+            if best is None:
+                break
+            if pi != t:
+                row_swap(t, pi)
+            if pj != t:
+                col_swap(t, pj)
+            # clear column t, restarting if a smaller remainder shows up
+            dirty = False
+            for i in range(t + 1, r):
+                if s[i][t]:
+                    q = s[i][t] // s[t][t]
+                    row_add(i, t, -q)
+                    if s[i][t]:
+                        dirty = True
+            for j in range(t + 1, c):
+                if s[t][j]:
+                    q = s[t][j] // s[t][t]
+                    col_add(j, t, -q)
+                    if s[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot divides the whole remaining block?
+            p = s[t][t]
+            culprit = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if s[i][j] % p:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            row_add(t, culprit, 1)
+        if t < r and t < c and s[t][t] < 0:
+            row_neg(t)
+    return u, s, v
+
+
+BIG = st.integers(-10**6, 10**6)
+
+
+class TestBorderedSmithNormalForm:
+    """The bordered pivot loop makes the pinned implementation's operations
+    in the same order, so (U, S, V) must match entry for entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_matches_pinned(self, m):
+        assert smith_normal_form(m) == pinned_smith_normal_form(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(BIG))
+    def test_matches_pinned_large_entries(self, m):
+        assert smith_normal_form(m) == pinned_smith_normal_form(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices())
+    def test_transforms_are_valid(self, m):
+        verify_smith(m, *smith_normal_form(m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(BIG))
+    def test_transforms_are_valid_large_entries(self, m):
+        verify_smith(m, *smith_normal_form(m))
+
+    def test_empty_shapes(self):
+        assert smith_normal_form([]) == ([], [], [])
+        assert smith_normal_form([[], []]) == ([[1, 0], [0, 1]], [[], []], [])
 
 
 # --- block sums of Farey homology models ----------------------------------
