@@ -127,10 +127,10 @@ def fiber_sum(left: TrisectionParams, right: TrisectionParams) -> TrisectionPara
 
 def destabilize(p: TrisectionParams, sector: int, times: int = 1) -> TrisectionParams:
     """Drop genus and one sector count by `times`."""
-    if sector not in (1, 2, 3):
+    if not _is_int(sector) or sector not in (1, 2, 3):
         raise DiagramError(f"sector must be 1, 2, or 3, got {sector}")
-    if times < 0:
-        raise DiagramError("times must be >= 0")
+    if not _is_int(times) or times < 0:
+        raise DiagramError(f"times must be an integer >= 0, got {times!r}")
     if p.k is None:
         raise CannotDestabilize("parameters carry no sector genera k")
     if p.k[sector - 1] < times or p.genus < times:
@@ -145,7 +145,7 @@ def destabilize(p: TrisectionParams, sector: int, times: int = 1) -> TrisectionP
 def poke(d: StarDiagram, counts: Tuple[int, int, int]) -> StarDiagram:
     """Puncture the surface away from all curves, once per requested count,
     and add the puncture boundaries (null classes) to the systems."""
-    if len(counts) != 3 or any(c < 0 for c in counts):
+    if len(counts) != 3 or not all(map(_is_int, counts)) or any(c < 0 for c in counts):
         raise DiagramError("poke counts must be three ints >= 0")
     zero = tuple([0] * (2 * d.genus))
     systems = []

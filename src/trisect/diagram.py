@@ -8,7 +8,8 @@ data keyed by curve pairs.
 """
 
 import math
-from operator import mul
+from itertools import chain
+from operator import lshift, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
@@ -127,6 +128,10 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
 
     A valid cut system has all pairwise pairings zero; null classes are
     legal (poked diagrams produce them) and only reported as advisories.
+    Classes are integer: class i gets one packed sum, sum_j (u_i . u_j) *
+    2^(w*j), from P_k = sum_j u_j[k] * 2^(w*j), with |u_i . u_j| <=
+    2g * max|entry|^2 < 2^(w-1), so the sum is 0 iff every pairing with
+    u_i is, and its signed w-bit digits are those pairings.
     """
     out = []
     for idx, v in enumerate(system.classes):
@@ -134,21 +139,25 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
             raise VectorLength(
                 f"{system.label}[{idx}]: length {len(v)} != {lattice.dim}"
             )
-        if all(x == 0 for x in v):
+        if not any(v):
             out.append(Violation("zero_class", f"{system.label}[{idx}] is null", advisory=True))
-    # lattice.pair(u, v) is u . Jv; the lengths were checked above
     classes = system.classes
-    duals = [[x for k in range(0, len(v), 2) for x in (v[k + 1], -v[k])] for v in classes]
+    top = max(map(abs, chain.from_iterable(classes)), default=0)
+    w = (lattice.dim * top * top).bit_length() + 1
+    half = 1 << (w - 1)
+    shifts = range(0, w * len(classes), w)
+    packed = [sum(map(lshift, col, shifts)) for col in zip(*classes)]
+    even, odd = packed[0::2], packed[1::2]
     for i, u in enumerate(classes):
-        for j in range(i + 1, len(classes)):
-            p = sum(map(mul, u, duals[j]))
-            if p != 0:
-                out.append(
-                    Violation(
-                        "pairing",
-                        f"{system.label}[{i}] . {system.label}[{j}] = {p}, expected 0",
-                    )
-                )
+        row = sum(map(mul, odd, u[0::2])) - sum(map(mul, even, u[1::2]))
+        for j in range(len(classes)):
+            if not row:
+                break
+            p = (row + half) % (2 * half) - half
+            row = (row - p) >> w
+            if p and j > i:
+                out.append(Violation(
+                    "pairing", f"{system.label}[{i}] . {system.label}[{j}] = {p}, expected 0"))
     return out
 
 
@@ -215,9 +224,10 @@ class StarDiagram(Record):
                     raise DiagramError(f"{name}[{i}]: expected a tuple of integers")
                 if len(vec) != 2 * genus:
                     raise VectorLength(f"{name}[{i}]: length {len(vec)} != {2 * genus}")
-                for j, x in enumerate(vec):
-                    if isinstance(x, bool) or not isinstance(x, int):
-                        raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
+                if not {int}.issuperset(map(type, vec)):  # some entry not an exact int
+                    for j, x in enumerate(vec):
+                        if isinstance(x, bool) or not isinstance(x, int):
+                            raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
 
         claims: Dict[str, Tuple[int, ...]] = {}
         for key, indices in _claim_pairs("common", common):

@@ -11,7 +11,7 @@ from typing import Tuple
 from ._record import Record
 from .diagram import StarDiagram, TrisectionParams, diagram_ok, validate_diagram
 from .errors import BoundaryNotSupported, DiagramError
-from .zmatrix import cokernel_invariants
+from .zmatrix import _smith_diagonal
 
 
 class HomologyReport(Record):
@@ -24,17 +24,17 @@ class HomologyReport(Record):
 
 
 def first_homology(d: StarDiagram) -> HomologyReport:
-    """H1 of the trisected manifold: Z^(2g) / span(alpha + beta + gamma)."""
+    """H1 of the trisected manifold: Z^(2g) / span(alpha + beta + gamma),
+    off the Smith diagonal of the distinct classes (a repeat, such as a
+    common curve or a poked null class, spans nothing new).  The diagram
+    checked every entry when it was built, so the kernel checks none."""
     violations = validate_diagram(d)
     if not diagram_ok(violations):
         raise DiagramError(
             "diagram invalid: " + "; ".join(v.message for v in violations if not v.advisory)
         )
-    classes = d.all_classes()
-    # columns are curve classes
-    mat = [[vec[row] for vec in classes] for row in range(2 * d.genus)]
-    inv = cokernel_invariants(mat)
-    return HomologyReport(inv.free_rank, inv.torsion)
+    diag = _smith_diagonal(list(zip(*dict.fromkeys(d.all_classes()))))
+    return HomologyReport(2 * d.genus - sum(map(bool, diag)), tuple(x for x in diag if x > 1))
 
 
 def euler_char(p: TrisectionParams) -> int:

@@ -10,8 +10,9 @@ the same row and column operations build the unimodular transforms U and
 V; it serves callers that need them and is the reference the fast kernel
 is tested against.  `smith_diagonal` computes the diagonal alone: it
 eliminates +-1 pivots on sparse rows first and runs the loop, unbordered,
-only on the unit-free block that is left.  `cokernel_invariants` (and so
-H1 of a diagram) goes through it.
+only on the unit-free block that is left.  `cokernel_invariants` goes
+through it; H1 of a diagram calls its unchecked core `_smith_diagonal`,
+since a diagram checks its entries when it is built.
 
 `determinant` (row swaps) and `sym_form_invariants` (symmetric swaps)
 share one fraction-free Bareiss step, so nothing here uses rationals.
@@ -171,6 +172,11 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
     Validates m like `smith_normal_form` does.
     """
     check_int_matrix(m)
+    return _smith_diagonal(m)
+
+
+def _smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
+    """`smith_diagonal` of a matrix of ints that the caller has checked."""
     r, c = dims(m)
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     rows = [row for row in rows if row]
@@ -216,12 +222,13 @@ def _unit_pivot(rows: List[dict], counts: List[int]) -> Optional[Tuple[int, int]
     in the column with the fewest nonzeros; None if no entry is +-1."""
     best = None
     for i, row in enumerate(rows):
-        if best is not None and len(row) >= best[0]:
+        if best is not None and len(row) >= len(rows[best]):
             continue
-        units = [j for j, x in row.items() if x == 1 or x == -1]
-        if units:
-            best = (len(row), i, min(units, key=counts.__getitem__))
-    return None if best is None else best[1:]
+        if 1 in row.values() or -1 in row.values():
+            best = i
+    if best is None:
+        return None
+    return best, min((j for j, x in rows[best].items() if x in (1, -1)), key=counts.__getitem__)
 
 
 def _smith_block(s: IntMatrix, r: int, c: int) -> List[int]:
@@ -264,10 +271,11 @@ def _smith_block(s: IntMatrix, r: int, c: int) -> List[int]:
                     s[i] = row = [a - q * b for a, b in zip(row, top)]
                     if row[t]:
                         dirty = True
+            live = [row for row in s[t:] if row[t]]  # column steps change no other row
             for j in range(t + 1, c):
                 if top[j]:
                     q = top[j] // p
-                    for row in s[t:]:
+                    for row in live:
                         row[j] -= q * row[t]
                     if top[j]:
                         dirty = True

@@ -203,6 +203,18 @@ class TestPoke:
         assert len(out.beta.classes) == 1
         assert out.genus == 1
 
+    @pytest.mark.parametrize("counts", [(0.5, 0, 0), (True, 0, 0), (0, 1.0, 0), (0, 0, "1")])
+    def test_non_integer_counts_refused(self, counts):
+        with pytest.raises(DiagramError, match="^poke counts must be three ints >= 0$"):
+            poke(self.base(), counts)
+
+
+@pytest.mark.parametrize("sector,times", [(1, True), (1, 0.5), (1, 1.0), (True, 1), (1.0, 1)])
+def test_destabilize_refuses_non_integers(sector, times):
+    # True == 1 and 1.0 == 1, so a bare comparison would read them as 1
+    with pytest.raises(DiagramError):
+        destabilize(TrisectionParams(3, (1, 1, 1)), sector, times)
+
 
 class TestCurveComplement:
     def test_single_arc_per_sector(self):

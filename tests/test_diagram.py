@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from trisect.diagram import (
     StarDiagram,
     SymplecticLattice,
     TrisectionParams,
+    Violation,
     diagram_ok,
     format_params,
     genus1_pair_kind,
@@ -129,6 +131,77 @@ class TestCutSystem:
         with pytest.raises(VectorLength, match=r"^gamma\[1\]: length 3 != 4$"):
             validate_cut_system(CurveSystem("gamma", ((1, 0, 0, 0), (1, 0, 0))),
                                 SymplecticLattice(2))
+
+
+def validate_cut_system_per_pair(system, lattice):
+    """validate_cut_system as one dot product per pair of classes, the loop
+    it ran before it packed each class into one integer: the oracle."""
+    out = []
+    for idx, v in enumerate(system.classes):
+        if len(v) != lattice.dim:
+            raise VectorLength(
+                f"{system.label}[{idx}]: length {len(v)} != {lattice.dim}"
+            )
+        if all(x == 0 for x in v):
+            out.append(Violation("zero_class", f"{system.label}[{idx}] is null", advisory=True))
+    # lattice.pair(u, v) is u . Jv; the lengths were checked above
+    classes = system.classes
+    duals = [[x for k in range(0, len(v), 2) for x in (v[k + 1], -v[k])] for v in classes]
+    for i, u in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            p = sum(map(mul, u, duals[j]))
+            if p != 0:
+                out.append(
+                    Violation(
+                        "pairing",
+                        f"{system.label}[{i}] . {system.label}[{j}] = {p}, expected 0",
+                    )
+                )
+    return out
+
+
+BIG = 10 ** 30
+ENTRY_KINDS = (
+    st.integers(-1, 1),
+    st.integers(-7, 7),
+    st.sampled_from((0, 1, -1, BIG, -BIG, BIG + 1, -BIG + 1)),
+    st.integers(-BIG, BIG),
+)
+
+
+@st.composite
+def cut_systems(draw):
+    """A genus 0-5 lattice and 0-6 classes of one entry kind, some of them zero."""
+    genus = draw(st.integers(0, 5))
+    entries = draw(st.sampled_from(ENTRY_KINDS))
+    nonzero = st.lists(entries, min_size=2 * genus, max_size=2 * genus).map(tuple)
+    zero = st.just((0,) * (2 * genus))
+    classes = draw(st.lists(st.one_of(nonzero, zero), max_size=6))
+    return SymplecticLattice(genus), CurveSystem(draw(st.sampled_from(SYSTEM_NAMES)), tuple(classes))
+
+
+class TestPackedPairings:
+    """validate_cut_system against the per-pair loop: the same violations
+    in kind, message and order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cut_systems())
+    def test_matches_per_pair_loop(self, case):
+        lattice, system = case
+        assert validate_cut_system(system, lattice) == validate_cut_system_per_pair(system, lattice)
+
+    @pytest.mark.parametrize("genus", [1, 2, 5])
+    @pytest.mark.parametrize("top", [1, 3, BIG])
+    def test_pairings_at_the_digit_bound(self, genus, top):
+        # |u . v| reaches 2g * top^2, the most a digit of width w must hold
+        u, v, minus = (top, -top) * genus, (top, top) * genus, (-top, -top) * genus
+        system = CurveSystem("alpha", (u, v, minus, (0,) * (2 * genus), v, u))
+        lattice = SymplecticLattice(genus)
+        got = validate_cut_system(system, lattice)
+        assert got == validate_cut_system_per_pair(system, lattice)
+        assert f"alpha[0] . alpha[1] = {2 * genus * top * top}, expected 0" in [
+            x.message for x in got]
+        assert sum(x.kind == "pairing" for x in got) == 6  # u meets each +-v
 
 
 class TestStandardPair:

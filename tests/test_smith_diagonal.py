@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisect import zmatrix
+from trisect.calculus import poke
 from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice
 from trisect.farey import enumerate_triples, farey_homology_model
 from trisect.invariants import first_homology
@@ -312,3 +313,35 @@ class TestBlockSums:
         d = block_sum(triples, random_mixes(random.Random(1), 9, 18))
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
+
+    def test_h1_checks_no_entry_again(self, monkeypatch):
+        # a built diagram has checked every entry, so H1 checks none again
+        def refuse(m, name="matrix"):
+            raise AssertionError("check_int_matrix called on the H1 path")
+
+        monkeypatch.setattr(zmatrix, "check_int_matrix", refuse)
+        triples = TRIPLES[:3]
+        d = block_sum(triples, random_mixes(random.Random(2), 9, 18))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
+        assert first_homology(poke(d, (1, 0, 2))) == rep
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(TRIPLES), min_size=1, max_size=3), st.randoms(),
+           st.tuples(*[st.integers(1, 2)] * 3))
+    def test_repeated_classes_match_full_matrix(self, triples, rng, counts):
+        # H1 reads each distinct class once; the full matrix repeats them
+        d = block_sum(triples, random_mixes(rng, 3 * len(triples), 6 * len(triples)))
+        alpha, beta = d.alpha.classes, d.beta.classes
+        variants = [
+            poke(d, counts),
+            StarDiagram(d.genus, 0, d.alpha, CurveSystem("beta", beta + beta[:1]), d.gamma),
+            StarDiagram(d.genus, 0, d.alpha, d.beta, CurveSystem("gamma", alpha),
+                        {"gamma_alpha": list(range(len(alpha)))}),
+        ]
+        for v in variants:
+            full = curve_matrix(v)
+            assert len(set(zip(*full))) < len(full[0])
+            inv = zmatrix.cokernel_invariants(full)
+            rep = first_homology(v)
+            assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
