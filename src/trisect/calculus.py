@@ -174,6 +174,8 @@ def curve_complement(p: TrisectionParams, arcs: Tuple[int, int, int]) -> Complem
     The closure genus is what a genus-0 filling glued along all 3a circles
     would produce.
     """
+    if not all(map(_is_int, arcs)):
+        raise DiagramError(f"arc counts must be integers, got {arcs!r}")
     if len(arcs) != 3 or any(a < 0 for a in arcs):
         raise CellDecompositionMismatch("arc counts must be three ints >= 0")
     if len(set(arcs)) != 1:

@@ -10,7 +10,7 @@ data keyed by curve pairs.
 import math
 from itertools import chain
 from operator import lshift, mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .errors import DiagramError, VectorLength
@@ -123,15 +123,41 @@ class Violation(Record):
     _defaults = {"advisory": False}
 
 
+def _pairings(us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> Iterator[List[int]]:
+    """For each u in us, the pairings [u . v for v in vs], or [] when they
+    are all zero; every class is a vector of ints of one even length.
+
+    One packed sum per u: with P_k = sum_j v_j[k] * 2^(w*j), the sum
+    sum_k (u[2k] * P_(2k+1) - u[2k+1] * P_(2k)) is sum_j (u . v_j) * 2^(w*j),
+    and |u . v_j| <= len(u) * max|u| * max|v| < 2^(w-1), so it is 0 iff
+    every pairing is, and its signed w-bit digits, read off from the
+    bottom until nothing is left, are the pairings.
+    """
+    top_v = max(map(abs, chain.from_iterable(vs)), default=0)
+    top_u = top_v if us is vs else max(map(abs, chain.from_iterable(us)), default=0)
+    n = len(vs)
+    w = ((len(us[0]) if us else 0) * top_u * top_v).bit_length() + 1
+    half = 1 << (w - 1)
+    shifts = range(0, w * n, w)
+    packed = [sum(map(lshift, col, shifts)) for col in zip(*vs)]
+    even, odd = packed[0::2], packed[1::2]
+    for u in us:
+        row = sum(map(mul, odd, u[0::2])) - sum(map(mul, even, u[1::2]))
+        out = []
+        while row:
+            p = (row + half) % (2 * half) - half
+            row = (row - p) >> w
+            out.append(p)
+        yield out and out + [0] * (n - len(out))
+
+
 def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List[Violation]:
     """Pairwise-pairing violations plus zero-class advisories.
 
     A valid cut system has all pairwise pairings zero; null classes are
     legal (poked diagrams produce them) and only reported as advisories.
-    Classes are integer: class i gets one packed sum, sum_j (u_i . u_j) *
-    2^(w*j), from P_k = sum_j u_j[k] * 2^(w*j), with |u_i . u_j| <=
-    2g * max|entry|^2 < 2^(w-1), so the sum is 0 iff every pairing with
-    u_i is, and its signed w-bit digits are those pairings.
+    Classes are integer, and the pairings come from one packed sum per
+    class (`_pairings`), of which a valid system decodes none.
     """
     out = []
     for idx, v in enumerate(system.classes):
@@ -142,22 +168,11 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
         if not any(v):
             out.append(Violation("zero_class", f"{system.label}[{idx}] is null", advisory=True))
     classes = system.classes
-    top = max(map(abs, chain.from_iterable(classes)), default=0)
-    w = (lattice.dim * top * top).bit_length() + 1
-    half = 1 << (w - 1)
-    shifts = range(0, w * len(classes), w)
-    packed = [sum(map(lshift, col, shifts)) for col in zip(*classes)]
-    even, odd = packed[0::2], packed[1::2]
-    for i, u in enumerate(classes):
-        row = sum(map(mul, odd, u[0::2])) - sum(map(mul, even, u[1::2]))
-        for j in range(len(classes)):
-            if not row:
-                break
-            p = (row + half) % (2 * half) - half
-            row = (row - p) >> w
-            if p and j > i:
+    for i, row in enumerate(_pairings(classes, classes)):
+        for j in range(i + 1, len(row)):
+            if row[j]:
                 out.append(Violation(
-                    "pairing", f"{system.label}[{i}] . {system.label}[{j}] = {p}, expected 0"))
+                    "pairing", f"{system.label}[{i}] . {system.label}[{j}] = {row[j]}, expected 0"))
     return out
 
 

@@ -2,14 +2,19 @@
 
 The surface inclusion is surjective on fundamental groups, so H1 of the
 total space is Z^(2g) modulo the classes of every curve in all three
-systems.  Euler characteristic and handle counts come straight from the
-parameter tuple and are defined for closed manifolds only.
+systems.  When the alpha classes span a primitive Lagrangian (g distinct
+nonzero classes whose Smith diagonal is all ones), pairing with them
+identifies Z^(2g) / span(alpha) with Z^g, and H1 is the cokernel of the
+g x n matrix of their pairings with the beta and gamma classes; otherwise
+it is read off the 2g x n matrix of all classes.  Euler characteristic and
+handle counts come straight from the parameter tuple and are defined for
+closed manifolds only.
 """
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 from ._record import Record
-from .diagram import StarDiagram, TrisectionParams, diagram_ok, validate_diagram
+from .diagram import StarDiagram, TrisectionParams, _pairings, diagram_ok, validate_diagram
 from .errors import BoundaryNotSupported, DiagramError
 from .zmatrix import _smith_diagonal
 
@@ -25,16 +30,48 @@ class HomologyReport(Record):
 
 def first_homology(d: StarDiagram) -> HomologyReport:
     """H1 of the trisected manifold: Z^(2g) / span(alpha + beta + gamma),
-    off the Smith diagonal of the distinct classes (a repeat, such as a
-    common curve or a poked null class, spans nothing new).  The diagram
-    checked every entry when it was built, so the kernel checks none."""
+    off a Smith diagonal of distinct classes (a repeat, such as a common
+    curve or a poked null class, spans nothing new).
+
+    When alpha spans a primitive Lagrangian, H1 is the cokernel of the
+    g x n matrix of pairings of alpha with beta and gamma (`_alpha_quotient`);
+    every other diagram is read off the 2g x n matrix of the distinct
+    classes.  The diagram checked every entry when it was built, so the
+    kernels check none."""
     violations = validate_diagram(d)
     if not diagram_ok(violations):
         raise DiagramError(
             "diagram invalid: " + "; ".join(v.message for v in violations if not v.advisory)
         )
-    diag = _smith_diagonal(list(zip(*dict.fromkeys(d.all_classes()))))
-    return HomologyReport(2 * d.genus - sum(map(bool, diag)), tuple(x for x in diag if x > 1))
+    rank, diag = _alpha_quotient(d) or (
+        2 * d.genus, _smith_diagonal(list(zip(*dict.fromkeys(d.all_classes())))))
+    return HomologyReport(rank - sum(map(bool, diag)), tuple(x for x in diag if x > 1))
+
+
+def _alpha_quotient(d: StarDiagram) -> Optional[Tuple[int, List[int]]]:
+    """(g, Smith diagonal of P) when alpha spans a primitive Lagrangian L,
+    else None.  P[i][j] = alpha_i . v_j over the g distinct nonzero alpha
+    classes and the distinct beta and gamma classes v_j.
+
+    The pairing is unimodular, so x -> (alpha_i . x)_i maps Z^(2g) onto
+    Z^g iff the alpha_i are a basis of a primitive rank-g lattice L.  L is
+    then Lagrangian, as the diagram is isotropic, so the kernel is L and
+    H1 = Z^(2g) / (L + span(beta + gamma)) is the cokernel of P.  The image
+    is spanned by the columns of alpha J (J only permutes and negates
+    columns) and holds those of P, so the map is onto iff the Smith
+    diagonal of [P | alpha] is all ones: the same test as on alpha alone,
+    but cheaper, since P is sparse and small (pairings do not change under
+    symplectic maps) and its columns give most pivots, where alpha's
+    columns are dense."""
+    alpha = [u for u in dict.fromkeys(d.alpha.classes) if any(u)]
+    if len(alpha) != d.genus:
+        return None
+    others = list(dict.fromkeys(d.beta.classes + d.gamma.classes))
+    zero = [0] * len(others)
+    pairing = [row or zero for row in _pairings(alpha, others)]
+    if not all(x == 1 for x in _smith_diagonal([[*p, *u] for p, u in zip(pairing, alpha)])):
+        return None
+    return d.genus, _smith_diagonal(pairing)
 
 
 def euler_char(p: TrisectionParams) -> int:

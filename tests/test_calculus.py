@@ -55,6 +55,8 @@ NON_INTEGER_PROBES = [
     pytest.param(lambda: destabilize(TrisectionParams(3, (1, 1, 1)), 1, 0.5), id="float times"),
     pytest.param(lambda: curve_complement(TrisectionParams(3, (1, 1, 1)), (0.5,) * 3),
                  id="float arcs"),
+    pytest.param(lambda: curve_complement(TrisectionParams(3, (1, 1, 1)), (True,) * 3),
+                 id="bool arcs"),
     pytest.param(lambda: paste(PastingInput(
         TrisectionParams(1, (0, 0, 0)), TrisectionParams(1, (0, 0, 0)), ClosedPage(1.5))),
         id="float page genus in paste"),

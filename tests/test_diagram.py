@@ -17,6 +17,7 @@ from trisect.diagram import (
     SymplecticLattice,
     TrisectionParams,
     Violation,
+    _pairings,
     diagram_ok,
     format_params,
     genus1_pair_kind,
@@ -202,6 +203,25 @@ class TestPackedPairings:
         assert f"alpha[0] . alpha[1] = {2 * genus * top * top}, expected 0" in [
             x.message for x in got]
         assert sum(x.kind == "pairing" for x in got) == 6  # u meets each +-v
+
+
+class TestPairingRows:
+    """_pairings(us, vs) against one pairing per pair, with the two sides
+    drawn from different entry kinds, so digits of every width are read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4), st.sampled_from(ENTRY_KINDS), st.sampled_from(ENTRY_KINDS),
+           st.data())
+    def test_matches_pairwise(self, genus, u_entries, v_entries, data):
+        lattice = SymplecticLattice(genus)
+        us, vs = (data.draw(st.lists(st.lists(entries, min_size=2 * genus, max_size=2 * genus)
+                                     .map(tuple), max_size=5))
+                  for entries in (u_entries, v_entries))
+        rows = list(_pairings(us, vs))
+        assert len(rows) == len(us)
+        for u, row in zip(us, rows):
+            want = [lattice.pair(u, v) for v in vs]
+            assert list(row) == (want if any(want) else [])
 
 
 class TestStandardPair:

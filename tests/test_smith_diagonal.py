@@ -6,7 +6,9 @@ matrices and on block sums of Farey homology models whose H1 is known in
 closed form.  `smith_normal_form`, which runs the shared pivot loop on a
 bordered matrix, must return exactly the (U, S, V) of the earlier
 implementation pinned below, which kept U and V by explicit row and column
-operations.
+operations.  H1 of a diagram whose alpha spans a primitive Lagrangian,
+read off the alpha pairing matrix, must agree with the cokernel of the
+full class matrix.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect import zmatrix
+from trisect import invariants, zmatrix
 from trisect.calculus import poke
 from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice
 from trisect.farey import enumerate_triples, farey_homology_model
@@ -345,3 +347,99 @@ class TestBlockSums:
             inv = zmatrix.cokernel_invariants(full)
             rep = first_homology(v)
             assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
+
+
+# --- the alpha quotient of first_homology ----------------------------------
+#
+# When alpha spans a primitive Lagrangian, H1 is the cokernel of the g x n
+# pairing matrix of alpha with beta and gamma; otherwise the 2g x n class
+# matrix.  Each system below is a symplectic image of a standard Lagrangian
+# (one slope p * e_i + q * f_i per plane i), so every system is isotropic and
+# H1 is the sum of the planes' cokernels.  The variants break the primitive
+# Lagrangian in the two ways the path must notice, add null classes, and
+# repeat alpha so that the free rank is above 0.
+
+SLOPES = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if gcd(p, q) == 1]
+VARIANTS = ("plain", "scaled", "short", "poked", "beta=alpha", "gamma=alpha")
+
+
+def standard_lagrangian(slopes):
+    genus = len(slopes)
+    out = []
+    for i, (p, q) in enumerate(slopes):
+        vec = [0] * (2 * genus)
+        vec[2 * i:2 * i + 2] = p, q
+        out.append(vec)
+    return out
+
+
+@st.composite
+def lagrangian_diagrams(draw):
+    """(variant, diagram): three standard Lagrangians, varied, then mixed by
+    transvections."""
+    genus = draw(st.integers(1, 4))
+    variant = draw(st.sampled_from(VARIANTS))
+    slopes = [draw(st.lists(st.sampled_from(SLOPES), min_size=genus, max_size=genus))
+              for _ in SYSTEM_NAMES]
+    if variant in ("beta=alpha", "gamma=alpha"):
+        other = 2 if variant == "beta=alpha" else 1
+        slopes[other][0] = slopes[0][0]  # the third system shares a slope with alpha: a free Z
+    alpha, beta, gamma = map(standard_lagrangian, slopes)
+    if variant == "scaled":
+        i, k = draw(st.integers(0, genus - 1)), draw(st.sampled_from((2, 3)))
+        alpha[i] = [k * x for x in alpha[i]]
+    mixes = draw(st.lists(st.tuples(st.lists(UNITS, min_size=2 * genus, max_size=2 * genus),
+                                    st.sampled_from((-1, 1))), max_size=3 * genus))
+    lattice = SymplecticLattice(genus)
+    for v, s in mixes:
+        for vec in alpha + beta + gamma:
+            a = s * lattice.pair(vec, v)
+            for j, y in enumerate(v):
+                vec[j] += a * y
+    common = {}
+    if variant == "short":
+        alpha = alpha[:-1]
+    elif variant == "beta=alpha":
+        beta, common = alpha, {"alpha_beta": list(range(genus))}
+    elif variant == "gamma=alpha":
+        gamma, common = alpha, {"gamma_alpha": list(range(genus))}
+    curves = {name: CurveSystem(name, tuple(map(tuple, cls)))
+              for name, cls in zip(SYSTEM_NAMES, (alpha, beta, gamma))}
+    d = StarDiagram(genus=genus, boundary=0, common=common, **curves)
+    if variant == "poked":
+        d = poke(d, draw(st.tuples(*[st.integers(0, 2)] * 3)))
+    return variant, d
+
+
+class TestAlphaQuotient:
+    @settings(max_examples=200, deadline=None)
+    @given(lagrangian_diagrams())
+    def test_matches_full_class_matrix(self, case):
+        variant, d = case
+        inv = zmatrix.cokernel_invariants(curve_matrix(d))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
+        # the path is taken exactly when alpha is g primitive classes
+        assert (invariants._alpha_quotient(d) is None) == (variant in ("scaled", "short"))
+        if variant in ("beta=alpha", "gamma=alpha"):
+            assert rep.h1_free_rank > 0
+
+    def test_non_primitive_alpha_keeps_its_torsion(self):
+        # alpha = 2 e1 is not primitive: the Z/2 of Z^2 / span(2 e1) is not seen by pairing
+        d = StarDiagram(1, 0, *(CurveSystem(name, ((2, 0),)) for name in SYSTEM_NAMES))
+        assert invariants._alpha_quotient(d) is None
+        assert first_homology(d).h1_str() == "Z + Z/2"
+
+    def test_block_sums_take_the_pairing_path(self, monkeypatch):
+        rows = []
+
+        def record(m):
+            rows.append(len(m))
+            return zmatrix._smith_diagonal(m)
+
+        monkeypatch.setattr(invariants, "_smith_diagonal", record)
+        triples = TRIPLES[:4]
+        d = block_sum(triples, random_mixes(random.Random(3), 12, 24))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
+        assert rows == [12, 12]  # [P | alpha], then P; never the 24-row class matrix
