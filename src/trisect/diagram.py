@@ -10,7 +10,7 @@ data keyed by curve pairs.
 import math
 from itertools import chain
 from operator import lshift, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .errors import DiagramError, VectorLength
@@ -123,32 +123,54 @@ class Violation(Record):
     _defaults = {"advisory": False}
 
 
-def _pairings(us: Sequence[Sequence[int]], vs: Sequence[Sequence[int]]) -> Iterator[List[int]]:
-    """For each u in us, the pairings [u . v for v in vs], or [] when they
-    are all zero; every class is a vector of ints of one even length.
+def _width(classes: Iterable[Sequence[int]], genus: int) -> int:
+    """The digit width w of a packing: two classes of genus g with entries
+    at most top in size pair to |u . v| <= 2g * top^2 < 2^(w-1)."""
+    top = max(map(abs, chain.from_iterable(classes)), default=0)
+    return (2 * genus * top * top).bit_length() + 1
 
-    One packed sum per u: with P_k = sum_j v_j[k] * 2^(w*j), the sum
-    sum_k (u[2k] * P_(2k+1) - u[2k+1] * P_(2k)) is sum_j (u . v_j) * 2^(w*j),
-    and |u . v_j| <= len(u) * max|u| * max|v| < 2^(w-1), so it is 0 iff
-    every pairing is, and its signed w-bit digits, read off from the
-    bottom until nothing is left, are the pairings.
-    """
-    top_v = max(map(abs, chain.from_iterable(vs)), default=0)
-    top_u = top_v if us is vs else max(map(abs, chain.from_iterable(us)), default=0)
-    n = len(vs)
-    w = ((len(us[0]) if us else 0) * top_u * top_v).bit_length() + 1
-    half = 1 << (w - 1)
-    shifts = range(0, w * n, w)
-    packed = [sum(map(lshift, col, shifts)) for col in zip(*vs)]
+
+def _pack(classes: Sequence[Sequence[int]], w: int, dim: int) -> List[int]:
+    """Column k of the classes v_j, each of length dim, as the one integer
+    P_k = sum_j v_j[k] * 2^(w*j)."""
+    shifts = range(0, w * len(classes), w)
+    return [sum(map(lshift, col, shifts)) for col in zip(*classes)] or [0] * dim
+
+
+def _packed_pairings(us: Iterable[Sequence[int]], packed: Sequence[int], w: int, n: int,
+                     positions: Sequence[int]) -> Iterator[List[int]]:
+    """For each u, the pairings u . v_j at positions, off the packing of n
+    classes v_j, or [] when u pairs to zero with all n.
+
+    The sum sum_k (u[2k] * P_(2k+1) - u[2k+1] * P_(2k)) is the row
+    sum_j (u . v_j) * 2^(w*j), with |u . v_j| < 2^(w-1) by the choice of w.
+    Adding B = sum_j 2^(w-1) * 2^(w*j) once makes every digit
+    u . v_j + 2^(w-1), a plain w-bit field with no borrow from the digit
+    below, so each pairing is one shift and one mask away."""
     even, odd = packed[0::2], packed[1::2]
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    bias = ((1 << w * n) - 1) // mask * half
+    shifts = [w * j for j in positions]
     for u in us:
         row = sum(map(mul, odd, u[0::2])) - sum(map(mul, even, u[1::2]))
-        out = []
-        while row:
-            p = (row + half) % (2 * half) - half
-            row = (row - p) >> w
-            out.append(p)
-        yield out and out + [0] * (n - len(out))
+        if row:
+            row += bias
+            yield [((row >> s) & mask) - half for s in shifts]
+        else:
+            yield []
+
+
+def _cut_violations(system: CurveSystem, packed: Sequence[int], w: int) -> List[Violation]:
+    """validate_cut_system off the system's own packing."""
+    label, classes = system.label, system.classes
+    out = [Violation("zero_class", f"{label}[{i}] is null", advisory=True)
+           for i, v in enumerate(classes) if not any(v)]
+    n = len(classes)
+    for i, row in enumerate(_packed_pairings(classes, packed, w, n, range(n))):
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                out.append(Violation("pairing", f"{label}[{i}] . {label}[{j}] = {row[j]}, expected 0"))
+    return out
 
 
 def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List[Violation]:
@@ -156,24 +178,16 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
 
     A valid cut system has all pairwise pairings zero; null classes are
     legal (poked diagrams produce them) and only reported as advisories.
-    Classes are integer, and the pairings come from one packed sum per
-    class (`_pairings`), of which a valid system decodes none.
+    Classes are integer, and the pairings of each class come from one
+    packed sum (`_packed_pairings`), of which a valid system decodes none.
     """
-    out = []
     for idx, v in enumerate(system.classes):
         if len(v) != lattice.dim:
             raise VectorLength(
                 f"{system.label}[{idx}]: length {len(v)} != {lattice.dim}"
             )
-        if not any(v):
-            out.append(Violation("zero_class", f"{system.label}[{idx}] is null", advisory=True))
-    classes = system.classes
-    for i, row in enumerate(_pairings(classes, classes)):
-        for j in range(i + 1, len(row)):
-            if row[j]:
-                out.append(Violation(
-                    "pairing", f"{system.label}[{i}] . {system.label}[{j}] = {row[j]}, expected 0"))
-    return out
+    w = _width(system.classes, lattice.genus)
+    return _cut_violations(system, _pack(system.classes, w, lattice.dim), w)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +315,53 @@ class StarDiagram(Record):
         return list(self.alpha.classes) + list(self.beta.classes) + list(self.gamma.classes)
 
 
+# a digit width w and the packed columns of alpha, beta and gamma
+_Packing = Tuple[int, List[List[int]]]
+
+
+def _pack_diagram(d: StarDiagram) -> _Packing:
+    """One digit width w for every class of d, and each system packed once
+    with it, in SYSTEM_NAMES order: what `_violations` and
+    `_pairing_matrix` read."""
+    w = _width(chain(d.alpha.classes, d.beta.classes, d.gamma.classes), d.genus)
+    return w, [_pack(s.classes, w, 2 * d.genus) for s in (d.alpha, d.beta, d.gamma)]
+
+
+def _violations(d: StarDiagram, packing: _Packing) -> List[Violation]:
+    """validate_diagram off the packing of d."""
+    w, packs = packing
+    out: List[Violation] = []
+    for system, packed in zip((d.alpha, d.beta, d.gamma), packs):
+        out += _cut_violations(system, packed, w)
+    return out
+
+
 def validate_diagram(d: StarDiagram) -> List[Violation]:
     """Cut-system report of the three systems: pairing violations and
     zero-class advisories.  The common and geo claims were checked when
     the diagram was built."""
-    lattice = d.lattice()
-    out: List[Violation] = []
-    for name in SYSTEM_NAMES:
-        out.extend(validate_cut_system(d.system(name), lattice))
-    return out
+    return _violations(d, _pack_diagram(d))
+
+
+def _pairing_matrix(us: Sequence[Sequence[int]], d: StarDiagram,
+                    packing: _Packing) -> List[List[int]]:
+    """P[i][j] = us[i] . v_j over the distinct beta and gamma classes v_j,
+    in order of first occurrence; each u has length 2g and entries no
+    larger than those of d.
+
+    The packings of beta and gamma join into one of beta + gamma with a
+    shift-add per column, and only the digits at the first occurrence of
+    each distinct class are read."""
+    w, (_, beta_packed, gamma_packed) = packing
+    beta, gamma = d.beta.classes, d.gamma.classes
+    shift = w * len(beta)
+    joined = [b + (c << shift) for b, c in zip(beta_packed, gamma_packed)]
+    first: Dict[Tuple[int, ...], int] = {}
+    for j, v in enumerate(beta + gamma):
+        first.setdefault(v, j)
+    zero = [0] * len(first)
+    rows = _packed_pairings(us, joined, w, len(beta) + len(gamma), list(first.values()))
+    return [row or zero for row in rows]
 
 
 def diagram_ok(violations: Sequence[Violation]) -> bool:

@@ -11,10 +11,13 @@ handle counts come straight from the parameter tuple and are defined for
 closed manifolds only.
 """
 
+from math import gcd
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .diagram import StarDiagram, TrisectionParams, _pairings, diagram_ok, validate_diagram
+from .diagram import (
+    StarDiagram, TrisectionParams, _Packing, _pack_diagram, _pairing_matrix, _violations, diagram_ok,
+)
 from .errors import BoundaryNotSupported, DiagramError
 from .zmatrix import _smith_diagonal
 
@@ -36,19 +39,21 @@ def first_homology(d: StarDiagram) -> HomologyReport:
     When alpha spans a primitive Lagrangian, H1 is the cokernel of the
     g x n matrix of pairings of alpha with beta and gamma (`_alpha_quotient`);
     every other diagram is read off the 2g x n matrix of the distinct
-    classes.  The diagram checked every entry when it was built, so the
-    kernels check none."""
-    violations = validate_diagram(d)
+    classes.  Each system is packed once, for validate_diagram's report
+    and for P alike.  The diagram checked every entry when it was built,
+    so the kernels check none."""
+    packing = _pack_diagram(d)
+    violations = _violations(d, packing)
     if not diagram_ok(violations):
         raise DiagramError(
             "diagram invalid: " + "; ".join(v.message for v in violations if not v.advisory)
         )
-    rank, diag = _alpha_quotient(d) or (
+    rank, diag = _alpha_quotient(d, packing) or (
         2 * d.genus, _smith_diagonal(list(zip(*dict.fromkeys(d.all_classes())))))
     return HomologyReport(rank - sum(map(bool, diag)), tuple(x for x in diag if x > 1))
 
 
-def _alpha_quotient(d: StarDiagram) -> Optional[Tuple[int, List[int]]]:
+def _alpha_quotient(d: StarDiagram, packing: _Packing) -> Optional[Tuple[int, List[int]]]:
     """(g, Smith diagonal of P) when alpha spans a primitive Lagrangian L,
     else None.  P[i][j] = alpha_i . v_j over the g distinct nonzero alpha
     classes and the distinct beta and gamma classes v_j.
@@ -62,13 +67,13 @@ def _alpha_quotient(d: StarDiagram) -> Optional[Tuple[int, List[int]]]:
     diagonal of [P | alpha] is all ones: the same test as on alpha alone,
     but cheaper, since P is sparse and small (pairings do not change under
     symplectic maps) and its columns give most pivots, where alpha's
-    columns are dense."""
+    columns are dense.  A class k u' with k > 1 is in no basis of a
+    primitive L (u' would be in L too), so such an alpha is refused before
+    P is read off the packing of d (`_pairing_matrix`)."""
     alpha = [u for u in dict.fromkeys(d.alpha.classes) if any(u)]
-    if len(alpha) != d.genus:
+    if len(alpha) != d.genus or any(gcd(*u) > 1 for u in alpha):
         return None
-    others = list(dict.fromkeys(d.beta.classes + d.gamma.classes))
-    zero = [0] * len(others)
-    pairing = [row or zero for row in _pairings(alpha, others)]
+    pairing = _pairing_matrix(alpha, d, packing)
     if not all(x == 1 for x in _smith_diagonal([[*p, *u] for p, u in zip(pairing, alpha)])):
         return None
     return d.genus, _smith_diagonal(pairing)

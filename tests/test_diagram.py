@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from itertools import chain
 from operator import mul
 
 import pytest
@@ -17,7 +18,11 @@ from trisect.diagram import (
     SymplecticLattice,
     TrisectionParams,
     Violation,
-    _pairings,
+    _pack,
+    _pack_diagram,
+    _packed_pairings,
+    _pairing_matrix,
+    _width,
     diagram_ok,
     format_params,
     genus1_pair_kind,
@@ -30,6 +35,8 @@ from trisect.diagram import (
     validate_standard_pair,
 )
 from trisect.errors import DiagramError, TrisectError, VectorLength
+from trisect.invariants import _alpha_quotient, first_homology
+from trisect.zmatrix import cokernel_invariants
 
 
 def cp2_text():
@@ -206,8 +213,9 @@ class TestPackedPairings:
 
 
 class TestPairingRows:
-    """_pairings(us, vs) against one pairing per pair, with the two sides
-    drawn from different entry kinds, so digits of every width are read."""
+    """_packed_pairings of us against a packing of vs, read at every
+    position, against one pairing per pair, with the two sides drawn from
+    different entry kinds, so digits of every width are read."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 4), st.sampled_from(ENTRY_KINDS), st.sampled_from(ENTRY_KINDS),
@@ -217,11 +225,81 @@ class TestPairingRows:
         us, vs = (data.draw(st.lists(st.lists(entries, min_size=2 * genus, max_size=2 * genus)
                                      .map(tuple), max_size=5))
                   for entries in (u_entries, v_entries))
-        rows = list(_pairings(us, vs))
+        w = _width(chain(us, vs), genus)
+        rows = list(_packed_pairings(us, _pack(vs, w, lattice.dim), w, len(vs), range(len(vs))))
         assert len(rows) == len(us)
         for u, row in zip(us, rows):
             want = [lattice.pair(u, v) for v in vs]
             assert list(row) == (want if any(want) else [])
+
+
+@st.composite
+def star_diagrams(draw):
+    """A genus 0-4 diagram, each system of 0 to g + 2 classes of its own
+    entry kind, some of them zero, repeated in the system, or shared by
+    beta and gamma under a common claim; most draws are not cut systems."""
+    genus = draw(st.integers(0, 4))
+    zero = (0,) * (2 * genus)
+    systems = []
+    for _ in SYSTEM_NAMES:
+        nonzero = st.lists(draw(st.sampled_from(ENTRY_KINDS)), min_size=2 * genus,
+                           max_size=2 * genus).map(tuple)
+        classes = draw(st.lists(st.one_of(nonzero, st.just(zero)), max_size=genus + 2))
+        if classes and draw(st.booleans()):
+            classes.insert(draw(st.integers(0, len(classes))), draw(st.sampled_from(classes)))
+        systems.append(classes)
+    beta, gamma = systems[1], systems[2]
+    common = {}
+    shared = min(len(beta), len(gamma))
+    if shared and draw(st.booleans()):
+        i = draw(st.integers(0, shared - 1))
+        gamma[i] = beta[i]
+        common["beta_gamma"] = [i]
+    return StarDiagram(genus, draw(st.integers(0, 2)),
+                       *(CurveSystem(name, tuple(c)) for name, c in zip(SYSTEM_NAMES, systems)),
+                       common=common)
+
+
+class TestDiagramPacking:
+    """One packing per system, shared by validate_diagram and the alpha
+    pairing matrix, against one pairing per pair."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(star_diagrams())
+    def test_matches_per_pair_oracle(self, d):
+        lattice = d.lattice()
+        assert validate_diagram(d) == [
+            v for name in SYSTEM_NAMES for v in validate_cut_system_per_pair(d.system(name), lattice)]
+        us = [u for u in dict.fromkeys(d.alpha.classes) if any(u)]
+        vs = list(dict.fromkeys(d.beta.classes + d.gamma.classes))
+        assert _pairing_matrix(us, d, _pack_diagram(d)) == [[lattice.pair(u, v) for v in vs]
+                                                            for u in us]
+
+    @pytest.mark.parametrize("genus", [1, 2, 5])
+    @pytest.mark.parametrize("top", [1, 3, BIG])
+    def test_alpha_pairings_at_the_digit_bound(self, genus, top):
+        # alpha[0] . beta reads +-2g * top^2, the most a digit holds, at both ends
+        u, v, minus = (top, -top) * genus, (top, top) * genus, (-top, -top) * genus
+        # u and the e_k - f_k for k >= 2 span the primitive Lagrangian of all e_k - f_k
+        rest = []
+        for k in range(1, genus):
+            vec = [0] * (2 * genus)
+            vec[2 * k], vec[2 * k + 1] = 1, -1
+            rest.append(tuple(vec))
+        d = StarDiagram(genus, 0, CurveSystem("alpha", (u, *rest)),
+                        CurveSystem("beta", (v, minus)), CurveSystem("gamma", (v,)),
+                        common={"beta_gamma": [0]})
+        assert validate_diagram(d) == []
+        packing = _pack_diagram(d)
+        bound = 2 * genus * top * top
+        assert _pairing_matrix([u, *rest], d, packing) == [
+            [bound, -bound]] + [[2 * top, -2 * top]] * (genus - 1)
+        # a class with gcd top > 1 is in no primitive basis, so only top = 1 takes P
+        assert (_alpha_quotient(d, packing) is None) == (top > 1)
+        classes = d.all_classes()
+        inv = cokernel_invariants([[c[r] for c in classes] for r in range(2 * genus)])
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
 
 
 class TestStandardPair:

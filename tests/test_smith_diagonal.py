@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect import invariants, zmatrix
+from trisect import diagram, invariants, zmatrix
 from trisect.calculus import poke
-from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice
+from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice, _pack_diagram
 from trisect.farey import enumerate_triples, farey_homology_model
 from trisect.invariants import first_homology
 from trisect.zmatrix import check_int_matrix, dims, identity, mat_copy, smith_diagonal, smith_normal_form
@@ -420,17 +420,19 @@ class TestAlphaQuotient:
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
         # the path is taken exactly when alpha is g primitive classes
-        assert (invariants._alpha_quotient(d) is None) == (variant in ("scaled", "short"))
+        assert (invariants._alpha_quotient(d, _pack_diagram(d)) is None) == (variant in ("scaled", "short"))
         if variant in ("beta=alpha", "gamma=alpha"):
             assert rep.h1_free_rank > 0
 
     def test_non_primitive_alpha_keeps_its_torsion(self):
         # alpha = 2 e1 is not primitive: the Z/2 of Z^2 / span(2 e1) is not seen by pairing
         d = StarDiagram(1, 0, *(CurveSystem(name, ((2, 0),)) for name in SYSTEM_NAMES))
-        assert invariants._alpha_quotient(d) is None
+        assert invariants._alpha_quotient(d, _pack_diagram(d)) is None
         assert first_homology(d).h1_str() == "Z + Z/2"
 
-    def test_block_sums_take_the_pairing_path(self, monkeypatch):
+    @staticmethod
+    def smith_rows(monkeypatch):
+        """The row count of every matrix first_homology hands to the Smith kernel."""
         rows = []
 
         def record(m):
@@ -438,8 +440,39 @@ class TestAlphaQuotient:
             return zmatrix._smith_diagonal(m)
 
         monkeypatch.setattr(invariants, "_smith_diagonal", record)
+        return rows
+
+    def test_block_sums_take_the_pairing_path(self, monkeypatch):
+        rows = self.smith_rows(monkeypatch)
         triples = TRIPLES[:4]
         d = block_sum(triples, random_mixes(random.Random(3), 12, 24))
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
         assert rows == [12, 12]  # [P | alpha], then P; never the 24-row class matrix
+
+    def test_a_doubled_alpha_class_skips_both_pairing_forms(self, monkeypatch):
+        # 2u is in no basis of a primitive lattice: refused before P or [P | alpha]
+        triples = TRIPLES[:4]
+        d = block_sum(triples, random_mixes(random.Random(3), 12, 24))
+        alpha = (tuple(2 * x for x in d.alpha.classes[0]),) + d.alpha.classes[1:]
+        d = StarDiagram(d.genus, 0, CurveSystem("alpha", alpha), d.beta, d.gamma)
+        inv = zmatrix.cokernel_invariants(curve_matrix(d))
+        rows = self.smith_rows(monkeypatch)
+        rep = first_homology(d)
+        # here u lies in the span of the other classes, so doubling it leaves H1 as it was
+        assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion) == expected_h1(triples)
+        assert rows == [24]  # the class matrix alone
+
+    def test_each_system_is_packed_once(self, monkeypatch):
+        calls = []
+
+        def record(classes, w, dim):
+            calls.append(classes)
+            return pack(classes, w, dim)
+
+        pack = diagram._pack
+        monkeypatch.setattr(diagram, "_pack", record)
+        d = block_sum(TRIPLES[:4], random_mixes(random.Random(3), 12, 24))
+        first_homology(d)
+        # alpha, beta and gamma once each, for the violations and for P alike
+        assert calls == [d.alpha.classes, d.beta.classes, d.gamma.classes]
