@@ -15,7 +15,7 @@ parse_plan states the file's COMPOSITE line; SurgeryPlan construction is
 the one place that composite is checked against the block product.
 """
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .diagram import CurveSystem, StarDiagram, TrisectionParams, _is_int
@@ -59,10 +59,21 @@ class PastingInput(Record):
     """Two trisection parameter tuples (TrisectionParams) to glue.
 
     mode is a ClosedPage or a BoundaryCircles; common holds per-sector
-    common-curve counts (three ints, default None) and only BoundaryCircles
-    consults it."""
+    common-curve counts (None, the default, or three ints >= 0) and only
+    BoundaryCircles consults it.  Construction checks both."""
     __slots__ = ("left", "right", "mode", "common")
-    _defaults = {"common": None}
+
+    def __init__(self, left: TrisectionParams, right: TrisectionParams,
+                 mode: Union[ClosedPage, BoundaryCircles],
+                 common: Optional[Tuple[int, int, int]] = None):
+        if not isinstance(mode, (ClosedPage, BoundaryCircles)):
+            raise DiagramError(f"unknown pasting mode {mode!r}")
+        if common is not None:
+            if not (isinstance(common, (list, tuple)) and len(common) == 3
+                    and all(map(_is_int, common)) and min(common) >= 0):
+                raise DiagramError("common-curve counts must be three ints >= 0")
+            common = tuple(common)
+        self._store(left, right, mode, common)
 
 
 def paste(inp: PastingInput) -> TrisectionParams:
@@ -82,13 +93,8 @@ def paste(inp: PastingInput) -> TrisectionParams:
                 "closed-page pasting needs closed trisection surfaces on both sides"
             )
         genus = left.genus + right.genus + 2
-        k = None
-        if left.k is not None and right.k is not None:
-            k = tuple(
-                left.k[i] + right.k[i] + 2 * mode.page_genus for i in range(3)
-            )
-        return TrisectionParams(genus, k, 0)
-    if isinstance(mode, BoundaryCircles):
+        extra = (2 * mode.page_genus,) * 3
+    else:
         n = mode.circles
         if left.boundary != n or right.boundary != n:
             raise CellDecompositionMismatch(
@@ -96,13 +102,11 @@ def paste(inp: PastingInput) -> TrisectionParams:
                 f"surfaces to expose n (got {left.boundary} and {right.boundary})"
             )
         genus = left.genus + right.genus + n - 1
-        k = None
-        if inp.common is not None and left.k is not None and right.k is not None:
-            if len(inp.common) != 3 or any(c < 0 for c in inp.common):
-                raise DiagramError("common-curve counts must be three ints >= 0")
-            k = tuple(left.k[i] + right.k[i] + inp.common[i] for i in range(3))
-        return TrisectionParams(genus, k, 0)
-    raise DiagramError(f"unknown pasting mode {mode!r}")
+        extra = inp.common
+    k = None
+    if extra is not None and left.k is not None and right.k is not None:
+        k = tuple(map(sum, zip(left.k, right.k, extra)))
+    return TrisectionParams(genus, k, 0)
 
 
 def fiber_sum(left: TrisectionParams, right: TrisectionParams) -> TrisectionParams:

@@ -19,6 +19,10 @@ SYSTEM_NAMES = ("alpha", "beta", "gamma")
 COMMON_KEYS = ("gamma_alpha", "alpha_beta", "beta_gamma")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # fractions (slopes)
 # ---------------------------------------------------------------------------
@@ -33,8 +37,7 @@ class Fraction(Record):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
-        if (not isinstance(num, int) or not isinstance(den, int)
-                or isinstance(num, bool) or isinstance(den, bool)):
+        if not (_is_int(num) and _is_int(den)):
             raise DiagramError("fraction parts must be integers")
         if den < 0:
             raise DiagramError(f"fraction {num}/{den}: den must be >= 0")
@@ -87,6 +90,8 @@ class SymplecticLattice(Record):
     __slots__ = ("genus",)
 
     def __init__(self, genus: int):
+        if not _is_int(genus):
+            raise DiagramError("genus must be an integer")
         if genus < 0:
             raise DiagramError("genus must be >= 0")
         self._store(genus)
@@ -108,16 +113,31 @@ class SymplecticLattice(Record):
 
 class CurveSystem(Record):
     """A labelled list of curve class vectors: label (str), classes (a
-    tuple of int tuples)."""
+    tuple of int tuples).  Construction is the one place the entries are
+    checked (bool is not an integer); the length 2g is checked where the
+    genus is known, by StarDiagram and validate_cut_system."""
     __slots__ = ("label", "classes")
+
+    def __init__(self, label: str, classes: Tuple[Tuple[int, ...], ...]):
+        if not isinstance(classes, tuple):
+            raise DiagramError(
+                f"{label}: expected a CurveSystem {label!r} with a tuple of classes")
+        for i, vec in enumerate(classes):
+            if not isinstance(vec, tuple):
+                raise DiagramError(f"{label}[{i}]: expected a tuple of integers")
+            if not {int}.issuperset(map(type, vec)):  # some entry not an exact int
+                for j, x in enumerate(vec):
+                    if not _is_int(x):
+                        raise DiagramError(f"{label}[{i}][{j}]: not an integer: {x!r}")
+        self._store(label, classes)
 
     def __len__(self) -> int:
         return len(self.classes)
 
 
 class Violation(Record):
-    """One finding of a cut-system check: kind is "pairing" or
-    "zero_class", message is its text, advisory (default False) marks a
+    """One finding of a diagram check: kind is "pairing", "zero_class" or
+    "standard_pair", message is its text, advisory (default False) marks a
     finding that does not make the diagram invalid."""
     __slots__ = ("kind", "message", "advisory")
     _defaults = {"advisory": False}
@@ -197,10 +217,6 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
 GeoKey = Tuple[str, int, str, int]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _claim_pairs(field: str, value):
     """The (key, value) pairs of a common or geo argument: a dict or the stored tuple."""
     if isinstance(value, dict):
@@ -220,11 +236,11 @@ class StarDiagram(Record):
     never changes; dict(d.geo) gives a lookup.  The constructor takes each
     as a dict (geo keys in either curve order) or in the stored form.
 
-    Construction is the one place the file contract is checked, so every
-    diagram that builds serializes to a file that parse_diagram reads back
-    as an equal diagram.  An argument off the contract raises DiagramError
-    (VectorLength for a class of length other than 2g); bool is not an
-    integer here.
+    Construction is the one place the rest of the file contract is checked
+    (each CurveSystem checks its own entries), so every diagram that builds
+    serializes to a file that parse_diagram reads back as an equal diagram.
+    An argument off the contract raises DiagramError (VectorLength for a
+    class of length other than 2g); bool is not an integer here.
     """
     __slots__ = ("genus", "boundary", "alpha", "beta", "gamma", "common", "geo")
 
@@ -244,19 +260,12 @@ class StarDiagram(Record):
             raise DiagramError("genus and boundary must be >= 0")
         systems = dict(zip(SYSTEM_NAMES, (alpha, beta, gamma)))
         for name, system in systems.items():
-            if not (isinstance(system, CurveSystem) and system.label == name
-                    and isinstance(system.classes, tuple)):
+            if not (isinstance(system, CurveSystem) and system.label == name):
                 raise DiagramError(
                     f"{name}: expected a CurveSystem {name!r} with a tuple of classes")
             for i, vec in enumerate(system.classes):
-                if not isinstance(vec, tuple):
-                    raise DiagramError(f"{name}[{i}]: expected a tuple of integers")
                 if len(vec) != 2 * genus:
                     raise VectorLength(f"{name}[{i}]: length {len(vec)} != {2 * genus}")
-                if not {int}.issuperset(map(type, vec)):  # some entry not an exact int
-                    for j, x in enumerate(vec):
-                        if isinstance(x, bool) or not isinstance(x, int):
-                            raise DiagramError(f"{name}[{i}][{j}]: not an integer: {x!r}")
 
         claims: Dict[str, Tuple[int, ...]] = {}
         for key, indices in _claim_pairs("common", common):
@@ -372,70 +381,52 @@ def diagram_ok(violations: Sequence[Violation]) -> bool:
 # standard-pair check
 # ---------------------------------------------------------------------------
 
-def validate_standard_pair(
-    a: CurveSystem,
-    b: CurveSystem,
-    geo: Dict[Tuple[str, int, str, int], int],
-    common: Sequence[int] = (),
-) -> Tuple[bool, List[str]]:
-    """Check that two systems decompose into shared curves, one-point dual
-    pairs, and mutually disjoint leftovers.
+def validate_standard_pair(d: StarDiagram, key: str) -> List[Violation]:
+    """Check that the two systems named by key, one of COMMON_KEYS, decompose
+    into shared curves, one-point dual pairs and mutually disjoint leftovers.
 
-    geo is keyed by (label, index, label, index) in either order and must
-    cover every curve pair of the two systems (a missing pair raises
-    DiagramError); pairs (i, i) for i in common are the same curve and are
-    exempt.  common lists indices whose classes coincide in both systems.
-    Returns (ok, report lines): ok iff within-system counts are all zero,
-    every cross count is 0 or 1, shared curves meet nothing, and the
-    count-1 pairs form a partial matching.
+    The check reads the claims d was built with: the shared curves are d's
+    common indices for key, and d.geo must count every other curve pair of
+    the two systems (a missing pair raises DiagramError).  Each finding is
+    one standard_pair violation, with the pairs named in file order.
     """
-    if a.label == b.label:
-        raise DiagramError("standard-pair check needs distinctly labelled systems")
+    if key not in COMMON_KEYS:
+        raise DiagramError(f"no system pair named {key!r}")
+    a, b = (d.system(name) for name in sorted(key.split("_")))  # geo keys are in file order
+    common = set(dict(d.common).get(key, ()))
+    geo = dict(d.geo)
 
-    def lookup(la: str, i: int, lb: str, j: int) -> int:
-        for key in ((la, i, lb, j), (lb, j, la, i)):
-            if key in geo:
-                return geo[key]
-        raise DiagramError(f"missing geo data for {la}[{i}] and {lb}[{j}]")
+    def count(la: str, i: int, lb: str, j: int) -> int:
+        if (la, i, lb, j) not in geo:
+            raise DiagramError(f"missing geo data for {la}[{i}] and {lb}[{j}]")
+        return geo[la, i, lb, j]
 
     report: List[str] = []
-    common = set(common)
-    for idx in common:
-        if idx < 0 or idx >= min(len(a), len(b)):
-            raise DiagramError(f"common index {idx} out of range")
-        if a.classes[idx] != b.classes[idx]:
-            report.append(f"common index {idx}: classes differ")
-
     for sys in (a, b):
         for i in range(len(sys)):
             for j in range(i + 1, len(sys)):
-                count = lookup(sys.label, i, sys.label, j)
-                if count != 0:
-                    report.append(
-                        f"{sys.label}[{i}] meets {sys.label}[{j}] {count} times, expected 0"
-                    )
+                n = count(sys.label, i, sys.label, j)
+                if n:
+                    report.append(f"{sys.label}[{i}] meets {sys.label}[{j}] {n} times, expected 0")
 
-    partner_a: Dict[int, int] = {}
-    partner_b: Dict[int, int] = {}
+    paired_a, paired_b = set(), set()
     for i in range(len(a)):
         for j in range(len(b)):
             if i == j and i in common:
                 continue  # one curve, not a pair
-            count = lookup(a.label, i, b.label, j)
-            if count == 0:
+            n = count(a.label, i, b.label, j)
+            if n == 0:
                 continue
-            if count < 0 or count > 1:
-                report.append(
-                    f"{a.label}[{i}] meets {b.label}[{j}] {count} times, expected 0 or 1"
-                )
+            if n > 1:
+                report.append(f"{a.label}[{i}] meets {b.label}[{j}] {n} times, expected 0 or 1")
             elif i in common or j in common:
                 report.append(f"shared curve in a crossing pair ({i},{j})")
-            elif i in partner_a or j in partner_b:
+            elif i in paired_a or j in paired_b:
                 report.append(f"curve reused by two crossing pairs ({i},{j})")
             else:
-                partner_a[i] = j
-                partner_b[j] = i
-    return (not report, report)
+                paired_a.add(i)
+                paired_b.add(j)
+    return [Violation("standard_pair", line) for line in report]
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +539,7 @@ def _expected_basis(genus: int) -> str:
 
 
 def _parse_system(name: str, raw) -> CurveSystem:
-    """The list shapes only; StarDiagram checks the class vectors."""
+    """The list shapes only; CurveSystem and StarDiagram check the class vectors."""
     if not isinstance(raw, list):
         raise DiagramError(f"{name}: expected a list of class vectors")
     for i, vec in enumerate(raw):
@@ -561,9 +552,12 @@ def parse_diagram(text: str) -> StarDiagram:
     """Parse the JSON diagram format; reject anything off-contract.
 
     The parser only reads the text: the JSON shapes, the field names and
-    the geo key syntax.  StarDiagram checks the values it reads, and the
-    basis header is compared with the genus of the built diagram.  Errors
-    carry the offending field path (or line/column for malformed JSON).
+    the geo key syntax.  It passes geo on as (key, count) pairs in file
+    order, so a pair spelled twice ("alpha.0:beta.0" and "alpha.00:beta.0")
+    is refused by StarDiagram, which checks every value read; CurveSystem
+    checks the class entries.  The basis header is compared with the genus
+    of the built diagram.  Errors carry the offending field path (or
+    line/column for malformed JSON).
     """
     import json  # on first use, so that verbs that read no diagram start without it
 
@@ -585,18 +579,16 @@ def parse_diagram(text: str) -> StarDiagram:
     geo = raw.get("geo", {})
     if not isinstance(geo, dict):
         raise DiagramError("geo: expected an object")
-    pairs: Dict[GeoKey, object] = {}
+    pairs = []
     for key, count in geo.items():
         try:
             left, right = key.split(":")
             (sa, i), (sb, j) = left.split("."), right.split(".")
-            pair = (sa, int(i), sb, int(j))
+            pairs.append(((sa, int(i), sb, int(j)), count))
         except ValueError:
             raise DiagramError(f'geo key {key!r}: expected "system.index:system.index"') from None
-        if pair in pairs:  # one pair spelled twice, as "alpha.0:beta.0" and "alpha.00:beta.0"
-            raise DiagramError(f"geo[{key!r}]: duplicate pair after normalization")
-        pairs[pair] = count
-    d = StarDiagram(raw["genus"], raw.get("boundary", 0), *systems, raw.get("common", {}), pairs)
+    d = StarDiagram(raw["genus"], raw.get("boundary", 0), *systems, raw.get("common", {}),
+                    tuple(pairs))
     basis = raw.get("basis")
     # count the names first, so that a short header with a huge genus builds nothing
     if "basis" in raw and not (isinstance(basis, str) and len(basis.split()) == 2 * d.genus

@@ -109,6 +109,12 @@ class TestPaste:
         assert out.genus == 5
         assert out.k == (1 + 1 + 1, 1 + 1 + 0, 1 + 1 + 2)
 
+    def test_common_counts_are_stored_as_a_tuple(self):
+        side = TrisectionParams_like("2;1,1,1;2")
+        inp = PastingInput(side, side, BoundaryCircles(2), common=[1, 0, 2])
+        assert inp == PastingInput(side, side, BoundaryCircles(2), common=(1, 0, 2))
+        assert hash(inp) == hash((side, side, BoundaryCircles(2), (1, 0, 2)))
+
     def test_boundary_circles_without_common_leaves_k_unknown(self):
         side = TrisectionParams_like("1;1,1,1;2")
         out = paste(PastingInput(side, side, BoundaryCircles(2)))

@@ -135,6 +135,15 @@ class TestCutSystem:
         ]
         assert [v.message for v in got] == expect
 
+    def test_entries_are_checked_when_the_system_is_built(self):
+        # refused when built, so no float reaches the packing and no bool reads as 1
+        with pytest.raises(DiagramError, match=r"^alpha\[0\]\[0\]: not an integer: 0.5$"):
+            validate_cut_system(CurveSystem("alpha", ((0.5, 0), (0, 1))), SymplecticLattice(1))
+        with pytest.raises(DiagramError, match=r"^alpha\[0\]\[0\]: not an integer: True$"):
+            validate_cut_system(CurveSystem("alpha", ((True, 0), (0, 1))), SymplecticLattice(1))
+        with pytest.raises(DiagramError, match=r"^alpha\[1\]: expected a tuple of integers$"):
+            CurveSystem("alpha", ((1, 0), [0, 1]))
+
     def test_wrong_length_message(self):
         with pytest.raises(VectorLength, match=r"^gamma\[1\]: length 3 != 4$"):
             validate_cut_system(CurveSystem("gamma", ((1, 0, 0, 0), (1, 0, 0))),
@@ -302,31 +311,71 @@ class TestDiagramPacking:
         assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
 
 
+def standard_pair_diagram(genus, alpha, beta, gamma, geo, common=()):
+    return StarDiagram(genus, 0, CurveSystem("alpha", alpha), CurveSystem("beta", beta),
+                       CurveSystem("gamma", gamma), common, geo)
+
+
 class TestStandardPair:
+    """validate_standard_pair reads the claims a diagram was built with."""
+
     def test_single_stab_pair(self):
-        a = CurveSystem("alpha", ((1, 0),))
-        b = CurveSystem("beta", ((0, 1),))
-        ok, report = validate_standard_pair(a, b, {("alpha", 0, "beta", 0): 1})
-        assert ok, report
+        d = standard_pair_diagram(1, ((1, 0),), ((0, 1),), ((1, 1),),
+                                  {("alpha", 0, "beta", 0): 1})
+        assert validate_standard_pair(d, "alpha_beta") == []
 
     def test_pure_common(self):
-        a = CurveSystem("alpha", ((0, 1),))
-        b = CurveSystem("beta", ((0, 1),))
-        ok, _ = validate_standard_pair(a, b, {("alpha", 0, "beta", 0): 0}, common=(0,))
-        assert ok
+        d = standard_pair_diagram(1, ((0, 1),), ((0, 1),), ((1, 1),),
+                                  {("alpha", 0, "beta", 0): 0}, {"alpha_beta": [0]})
+        assert validate_standard_pair(d, "alpha_beta") == []
 
     def test_double_point_fails(self):
-        a = CurveSystem("alpha", ((1, 0),))
-        b = CurveSystem("beta", ((1, 1),))
-        ok, report = validate_standard_pair(a, b, {("alpha", 0, "beta", 0): 2})
-        assert not ok
-        assert report
+        d = standard_pair_diagram(1, ((1, 0),), ((1, 1),), ((1, 1),),
+                                  {("alpha", 0, "beta", 0): 2})
+        assert validate_standard_pair(d, "alpha_beta") == [
+            Violation("standard_pair", "alpha[0] meets beta[0] 2 times, expected 0 or 1")]
 
     def test_missing_geo_raises(self):
-        a = CurveSystem("alpha", ((1, 0),))
-        b = CurveSystem("beta", ((0, 1),))
+        d = standard_pair_diagram(1, ((1, 0),), ((0, 1),), ((1, 1),), {})
         with pytest.raises(DiagramError, match="missing geo"):
-            validate_standard_pair(a, b, {})
+            validate_standard_pair(d, "alpha_beta")
+
+    def test_nonzero_count_inside_one_system(self):
+        e1, f1, e2, f2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        geo = {("alpha", 0, "alpha", 1): 0, ("beta", 0, "beta", 1): 2,
+               ("alpha", 0, "beta", 0): 1, ("alpha", 0, "beta", 1): 0,
+               ("alpha", 1, "beta", 0): 0, ("alpha", 1, "beta", 1): 1}
+        d = standard_pair_diagram(2, (e1, e2), (f1, f2), (e2,), geo)
+        assert validate_standard_pair(d, "alpha_beta") == [
+            Violation("standard_pair", "beta[0] meets beta[1] 2 times, expected 0")]
+
+    def test_shared_curve_in_a_crossing_pair(self):
+        e1, f1, e2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+        geo = {("alpha", 0, "alpha", 1): 0, ("beta", 0, "beta", 1): 0,
+               ("alpha", 0, "beta", 1): 1, ("alpha", 1, "beta", 0): 0,
+               ("alpha", 1, "beta", 1): 0}
+        d = standard_pair_diagram(2, (e1, e2), (e1, f1), (e2,), geo, {"alpha_beta": [0]})
+        assert validate_standard_pair(d, "alpha_beta") == [
+            Violation("standard_pair", "shared curve in a crossing pair (0,1)")]
+
+    def test_common_claim_read_from_d(self):
+        # gamma_alpha pairs are looked up in file order, alpha first
+        classes = ((1, 0),), ((0, 1),), ((1, 0),)
+        shared = standard_pair_diagram(1, *classes, {}, {"gamma_alpha": [0]})
+        assert validate_standard_pair(shared, "gamma_alpha") == []
+        with pytest.raises(DiagramError, match=r"^missing geo data for alpha\[0\] and gamma\[0\]$"):
+            validate_standard_pair(standard_pair_diagram(1, *classes, {}), "gamma_alpha")
+        # the claim belongs to gamma_alpha alone
+        with pytest.raises(DiagramError, match="missing geo data for alpha"):
+            validate_standard_pair(shared, "alpha_beta")
+        twice = standard_pair_diagram(1, *classes, {("gamma", 0, "alpha", 0): 2})
+        assert validate_standard_pair(twice, "gamma_alpha") == [
+            Violation("standard_pair", "alpha[0] meets gamma[0] 2 times, expected 0 or 1")]
+
+    def test_unknown_pair_raises(self):
+        d = standard_pair_diagram(1, ((1, 0),), ((0, 1),), ((1, 1),), {})
+        with pytest.raises(DiagramError, match="^no system pair named 'alpha_gamma'$"):
+            validate_standard_pair(d, "alpha_gamma")
 
 
 class TestGenus1PairKind:
@@ -392,6 +441,13 @@ class TestParseSerialize:
         obj["geo"] = {"alpha.0:beta.0": 1, "beta.0:alpha.0": 1}
         with pytest.raises(DiagramError):
             parse_diagram(json.dumps(obj))
+
+    def test_geo_pair_spelled_twice_is_named_in_normal_form(self):
+        obj = json.loads(cp2_text())
+        obj["geo"] = {"alpha.0:beta.0": 1, "alpha.00:beta.0": 1}
+        with pytest.raises(DiagramError) as err:
+            parse_diagram(json.dumps(obj))
+        assert str(err.value) == "geo['alpha.0:beta.0']: duplicate pair after normalization"
 
     def test_syntax_error_has_location(self):
         with pytest.raises(DiagramError, match="line"):
@@ -496,9 +552,8 @@ BAD_CLASSES = [
 def test_class_vectors_checked_where_a_diagram_is_built(genus, name, vec, exc, message):
     raw = {key: [[0] * (2 * genus)] for key in ("alpha", "beta", "gamma")}
     raw[name] = [vec]
-    systems = [CurveSystem(key, tuple(tuple(v) for v in raw[key])) for key in raw]
     with pytest.raises(exc) as built:
-        StarDiagram(genus, 0, *systems)
+        StarDiagram(genus, 0, *(CurveSystem(key, tuple(tuple(v) for v in raw[key])) for key in raw))
     with pytest.raises(exc) as parsed:
         parse_diagram(json.dumps({"genus": genus, **raw}))
     assert str(built.value) == str(parsed.value) == message
@@ -548,11 +603,12 @@ PROBES = [
     ({"common": {"alpha_beta": (True,)}}, "common.alpha_beta: expected a list of integers"),
     ({"genus": True}, "genus and boundary must be integers"),
     ({"boundary": 1.0}, "genus and boundary must be integers"),
-    ({"alpha": CurveSystem("beta", ((1, 0),))},
+    # systems built inside the check, since CurveSystem refuses its own faults
+    (lambda: {"alpha": CurveSystem("beta", ((1, 0),))},
      "alpha: expected a CurveSystem 'alpha' with a tuple of classes"),
-    ({"alpha": CurveSystem("alpha", [(1, 0)])},
+    (lambda: {"alpha": CurveSystem("alpha", [(1, 0)])},
      "alpha: expected a CurveSystem 'alpha' with a tuple of classes"),
-    ({"beta": CurveSystem("beta", ([0, 1],))}, "beta[0]: expected a tuple of integers"),
+    (lambda: {"beta": CurveSystem("beta", ([0, 1],))}, "beta[0]: expected a tuple of integers"),
     ({"common": [("alpha_beta", (0,))]}, "common: expected a dict, got list"),
     ({"geo": 5}, "geo: expected a dict, got int"),
     ({"geo": [(("alpha", 0, "beta", 0), 1)]}, "geo: expected a dict, got list"),
@@ -571,7 +627,7 @@ PROBES = [
 @pytest.mark.parametrize("change,message", PROBES, ids=[m for _, m in PROBES])
 def test_off_contract_diagrams_are_refused_when_built(change, message):
     with pytest.raises(TrisectError) as err:
-        StarDiagram(**{**CP2, **change})
+        StarDiagram(**{**CP2, **(change() if callable(change) else change)})
     assert type(err.value) is DiagramError
     assert str(err.value) == message
 

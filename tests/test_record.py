@@ -43,6 +43,7 @@ A = CurveSystem("alpha", ((1, 0),))
 B = CurveSystem("beta", ((0, 1),))
 C = CurveSystem("gamma", ((1, 1),))
 SHEAR = PlanBlock("shear", ((1, 2), (0, 1)))
+P1 = TrisectionParams(1, (0, 0, 0))
 
 # class, field names in order, one instance's field values (no defaults used)
 CASES = [
@@ -188,7 +189,7 @@ def test_constructor_argument_errors(cls, names, values):
 
 # the classes whose __init__ would only store its arguments
 STORE_ONLY = {
-    PastingInput, ComplementResult, CurveSystem, Violation, SpunLens, FareyTriple,
+    ComplementResult, Violation, SpunLens, FareyTriple,
     FareyClassification, HomologyReport, CokernelInvariants, FormInvariants, FormClass,
     Gen, SL3Word,
 }
@@ -283,6 +284,10 @@ BAD = [
     (lambda: Fraction(2, 0), DiagramError, "fraction 2/0: only 1/0 is allowed"),
     (lambda: Fraction(2, 4), DiagramError, "fraction 2/4 is not reduced"),
     (lambda: SymplecticLattice(-1), DiagramError, "genus must be >= 0"),
+    pytest.param(lambda: SymplecticLattice(1.5), DiagramError, "genus must be an integer",
+                 id="genus must be an integer: float"),
+    pytest.param(lambda: SymplecticLattice(True), DiagramError, "genus must be an integer",
+                 id="genus must be an integer: bool"),
     (lambda: StarDiagram(-1, 0, A, B, C), DiagramError, "genus and boundary must be >= 0"),
     (lambda: StarDiagram(1, -1, A, B, C), DiagramError, "genus and boundary must be >= 0"),
     (lambda: BridgeData(2, (1, 1)), DiagramError, "bridge data needs three counts >= 0"),
@@ -298,6 +303,15 @@ BAD = [
      "k = (2, 0, 0): closed parameters need k_i <= g = 1"),
     (lambda: ClosedPage(-1), DiagramError, "page genus must be >= 0"),
     (lambda: BoundaryCircles(0), CellDecompositionMismatch, "boundary-circle pasting needs n >= 1"),
+    (lambda: PastingInput(P1, P1, 1), DiagramError, "unknown pasting mode 1"),
+    pytest.param(lambda: PastingInput(P1, P1, ClosedPage(0), (True, 0, 0)), DiagramError,
+                 "common-curve counts must be three ints >= 0", id="common counts: bool"),
+    pytest.param(lambda: PastingInput(P1, P1, ClosedPage(0), 5), DiagramError,
+                 "common-curve counts must be three ints >= 0", id="common counts: int"),
+    pytest.param(lambda: PastingInput(P1, P1, BoundaryCircles(1), (1, -1, 0)), DiagramError,
+                 "common-curve counts must be three ints >= 0", id="common counts: negative"),
+    pytest.param(lambda: PastingInput(P1, P1, BoundaryCircles(1), (1, 1)), DiagramError,
+                 "common-curve counts must be three ints >= 0", id="common counts: two"),
     (lambda: RibbonGraph(((0, 0),), ()), DiagramError, "dart 0 appears at two rotation slots"),
     (lambda: RibbonGraph(((0,),), ((0, 0),)), DiagramError,
      "edge (0,0) must join two distinct darts"),
