@@ -66,6 +66,7 @@ class PastingInput(Record):
     def __init__(self, left: TrisectionParams, right: TrisectionParams,
                  mode: Union[ClosedPage, BoundaryCircles],
                  common: Optional[Tuple[int, int, int]] = None):
+        _require_params("pasting", left, right)
         if not isinstance(mode, (ClosedPage, BoundaryCircles)):
             raise DiagramError(f"unknown pasting mode {mode!r}")
         if common is not None:
@@ -74,6 +75,12 @@ class PastingInput(Record):
                 raise DiagramError("common-curve counts must be three ints >= 0")
             common = tuple(common)
         self._store(left, right, mode, common)
+
+
+def _require_params(what: str, left, right) -> None:
+    if not (isinstance(left, TrisectionParams) and isinstance(right, TrisectionParams)):
+        raise DiagramError(f"{what} needs two TrisectionParams, got "
+                           f"{type(left).__name__} and {type(right).__name__}")
 
 
 def paste(inp: PastingInput) -> TrisectionParams:
@@ -112,6 +119,7 @@ def paste(inp: PastingInput) -> TrisectionParams:
 def fiber_sum(left: TrisectionParams, right: TrisectionParams) -> TrisectionParams:
     """Sum along embedded surfaces in matching bridge position:
     G = g + g' + 2b - 1, K_i = k_i + k_i' + c_i."""
+    _require_params("fiber sum", left, right)
     for p in (left, right):
         if p.boundary != 0:
             raise CellDecompositionMismatch("fiber sum needs closed inputs")
@@ -149,7 +157,8 @@ def destabilize(p: TrisectionParams, sector: int, times: int = 1) -> TrisectionP
 def poke(d: StarDiagram, counts: Tuple[int, int, int]) -> StarDiagram:
     """Puncture the surface away from all curves, once per requested count,
     and add the puncture boundaries (null classes) to the systems."""
-    if len(counts) != 3 or not all(map(_is_int, counts)) or any(c < 0 for c in counts):
+    if not (isinstance(counts, (list, tuple)) and len(counts) == 3
+            and all(map(_is_int, counts)) and min(counts) >= 0):
         raise DiagramError("poke counts must be three ints >= 0")
     zero = tuple([0] * (2 * d.genus))
     systems = []

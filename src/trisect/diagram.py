@@ -157,40 +157,43 @@ def _pack(classes: Sequence[Sequence[int]], w: int, dim: int) -> List[int]:
     return [sum(map(lshift, col, shifts)) for col in zip(*classes)] or [0] * dim
 
 
-def _packed_pairings(us: Iterable[Sequence[int]], packed: Sequence[int], w: int, n: int,
-                     positions: Sequence[int]) -> Iterator[List[int]]:
-    """For each u, the pairings u . v_j at positions, off the packing of n
-    classes v_j, or [] when u pairs to zero with all n.
+def _packed_rows(us: Iterable[Sequence[int]], packed: Sequence[int]) -> Iterator[int]:
+    """For each u, sum_k (u[2k] * P_(2k+1) - u[2k+1] * P_(2k)) off the
+    packing P of classes v_j: the row sum_j (u . v_j) * 2^(w*j), with
+    |u . v_j| < 2^(w-1) by the choice of w."""
+    even, odd = packed[0::2], packed[1::2]
+    for u in us:
+        yield sum(map(mul, odd, u[0::2])) - sum(map(mul, even, u[1::2]))
 
-    The sum sum_k (u[2k] * P_(2k+1) - u[2k+1] * P_(2k)) is the row
-    sum_j (u . v_j) * 2^(w*j), with |u . v_j| < 2^(w-1) by the choice of w.
+
+def _digits(row: int, w: int, n: int, positions: Iterable[int]) -> List[int]:
+    """The pairings u . v_j at positions off a row of n digits (`_packed_rows`).
+
     Adding B = sum_j 2^(w-1) * 2^(w*j) once makes every digit
     u . v_j + 2^(w-1), a plain w-bit field with no borrow from the digit
     below, so each pairing is one shift and one mask away."""
-    even, odd = packed[0::2], packed[1::2]
     mask, half = (1 << w) - 1, 1 << (w - 1)
-    bias = ((1 << w * n) - 1) // mask * half
-    shifts = [w * j for j in positions]
-    for u in us:
-        row = sum(map(mul, odd, u[0::2])) - sum(map(mul, even, u[1::2]))
-        if row:
-            row += bias
-            yield [((row >> s) & mask) - half for s in shifts]
-        else:
-            yield []
+    row += ((1 << w * n) - 1) // mask * half
+    return [((row >> w * j) & mask) - half for j in positions]
 
 
-def _cut_violations(system: CurveSystem, packed: Sequence[int], w: int) -> List[Violation]:
-    """validate_cut_system off the system's own packing."""
+def _cut_violations(system: CurveSystem, packed: Sequence[int], w: int, n: int):
+    """(validate_cut_system, the row of each class) off a packing of n
+    classes whose first k = len(system) are the system's own.  Those k
+    digits are all zero iff row & (2^(w*k) - 1) == 0, as their sum is below
+    2^(w*k-1) in size and balanced digits are unique, so a valid system
+    decodes no digit."""
     label, classes = system.label, system.classes
     out = [Violation("zero_class", f"{label}[{i}] is null", advisory=True)
            for i, v in enumerate(classes) if not any(v)]
-    n = len(classes)
-    for i, row in enumerate(_packed_pairings(classes, packed, w, n, range(n))):
-        for j in range(i + 1, len(row)):
-            if row[j]:
-                out.append(Violation("pairing", f"{label}[{i}] . {label}[{j}] = {row[j]}, expected 0"))
-    return out
+    k = len(classes)
+    own = (1 << w * k) - 1
+    rows = list(_packed_rows(classes, packed))
+    for i, row in enumerate(rows):
+        digits = _digits(row, w, n, range(i + 1, k)) if row & own else ()
+        out += [Violation("pairing", f"{label}[{i}] . {label}[{j}] = {x}, expected 0")
+                for j, x in enumerate(digits, i + 1) if x]
+    return out, rows
 
 
 def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List[Violation]:
@@ -199,15 +202,17 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
     A valid cut system has all pairwise pairings zero; null classes are
     legal (poked diagrams produce them) and only reported as advisories.
     Classes are integer, and the pairings of each class come from one
-    packed sum (`_packed_pairings`), of which a valid system decodes none.
+    packed sum (`_packed_rows`), of which a valid system decodes none.
     """
+    if not (isinstance(system, CurveSystem) and isinstance(lattice, SymplecticLattice)):
+        raise DiagramError("validate_cut_system needs a CurveSystem and a SymplecticLattice")
     for idx, v in enumerate(system.classes):
         if len(v) != lattice.dim:
             raise VectorLength(
                 f"{system.label}[{idx}]: length {len(v)} != {lattice.dim}"
             )
     w = _width(system.classes, lattice.genus)
-    return _cut_violations(system, _pack(system.classes, w, lattice.dim), w)
+    return _cut_violations(system, _pack(system.classes, w, lattice.dim), w, len(system))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,47 +335,37 @@ _Packing = Tuple[int, List[List[int]]]
 
 def _pack_diagram(d: StarDiagram) -> _Packing:
     """One digit width w for every class of d, and each system packed once
-    with it, in SYSTEM_NAMES order: what `_violations` and
-    `_pairing_matrix` read."""
+    with it, in SYSTEM_NAMES order: what `_violations` reads."""
     w = _width(chain(d.alpha.classes, d.beta.classes, d.gamma.classes), d.genus)
     return w, [_pack(s.classes, w, 2 * d.genus) for s in (d.alpha, d.beta, d.gamma)]
 
 
-def _violations(d: StarDiagram, packing: _Packing) -> List[Violation]:
-    """validate_diagram off the packing of d."""
-    w, packs = packing
-    out: List[Violation] = []
-    for system, packed in zip((d.alpha, d.beta, d.gamma), packs):
-        out += _cut_violations(system, packed, w)
-    return out
+def _violations(d: StarDiagram, packing: _Packing) -> Tuple[List[Violation], List[List[int]]]:
+    """validate_diagram off the packing of d, and the pairing matrix P:
+    P[i][j] = u_i . v_j over the distinct nonzero alpha classes u_i and the
+    distinct beta and gamma classes v_j, each in order of first occurrence.
+    Each alpha class is read against alpha + beta + gamma, its packing
+    joined to the others with two shift-adds per column, so one packed sum
+    gives both its report (the low digits) and its row of P."""
+    w, (alpha_packed, beta_packed, gamma_packed) = packing
+    alpha, beta, gamma = d.alpha.classes, d.beta.classes, d.gamma.classes
+    lo, hi, n = w * len(alpha), w * (len(alpha) + len(beta)), len(alpha + beta + gamma)
+    joined = [a + (b << lo) + (c << hi) for a, b, c in zip(alpha_packed, beta_packed, gamma_packed)]
+    out, rows = _cut_violations(d.alpha, joined, w, n)
+    out += _cut_violations(d.beta, beta_packed, w, len(beta))[0]
+    out += _cut_violations(d.gamma, gamma_packed, w, len(gamma))[0]
+    first: Dict[Tuple[int, ...], int] = {}
+    for j, v in enumerate(beta + gamma, len(alpha)):
+        first.setdefault(v, j)
+    return out, [_digits(row, w, n, first.values())
+                 for u, row in dict(zip(alpha, rows)).items() if any(u)]
 
 
 def validate_diagram(d: StarDiagram) -> List[Violation]:
     """Cut-system report of the three systems: pairing violations and
     zero-class advisories.  The common and geo claims were checked when
     the diagram was built."""
-    return _violations(d, _pack_diagram(d))
-
-
-def _pairing_matrix(us: Sequence[Sequence[int]], d: StarDiagram,
-                    packing: _Packing) -> List[List[int]]:
-    """P[i][j] = us[i] . v_j over the distinct beta and gamma classes v_j,
-    in order of first occurrence; each u has length 2g and entries no
-    larger than those of d.
-
-    The packings of beta and gamma join into one of beta + gamma with a
-    shift-add per column, and only the digits at the first occurrence of
-    each distinct class are read."""
-    w, (_, beta_packed, gamma_packed) = packing
-    beta, gamma = d.beta.classes, d.gamma.classes
-    shift = w * len(beta)
-    joined = [b + (c << shift) for b, c in zip(beta_packed, gamma_packed)]
-    first: Dict[Tuple[int, ...], int] = {}
-    for j, v in enumerate(beta + gamma):
-        first.setdefault(v, j)
-    zero = [0] * len(first)
-    rows = _packed_pairings(us, joined, w, len(beta) + len(gamma), list(first.values()))
-    return [row or zero for row in rows]
+    return _violations(d, _pack_diagram(d))[0]
 
 
 def diagram_ok(violations: Sequence[Violation]) -> bool:

@@ -5,21 +5,20 @@ total space is Z^(2g) modulo the classes of every curve in all three
 systems.  When the alpha classes span a primitive Lagrangian (g distinct
 nonzero classes whose Smith diagonal is all ones), pairing with them
 identifies Z^(2g) / span(alpha) with Z^g, and H1 is the cokernel of the
-g x n matrix of their pairings with the beta and gamma classes; otherwise
-it is read off the 2g x n matrix of all classes.  Euler characteristic and
-handle counts come straight from the parameter tuple and are defined for
-closed manifolds only.
+g x n matrix P of their pairings with the beta and gamma classes (read
+off the packed sums that validate alpha; one unit-pivot pass over [P | I]
+both tests alpha and reduces P); otherwise it is read off the 2g x n
+matrix of all classes.  Euler characteristic and handle counts come
+straight from the parameter tuple, for closed manifolds only.
 """
 
 from math import gcd
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .diagram import (
-    StarDiagram, TrisectionParams, _Packing, _pack_diagram, _pairing_matrix, _violations, diagram_ok,
-)
+from .diagram import StarDiagram, TrisectionParams, _pack_diagram, _violations, diagram_ok
 from .errors import BoundaryNotSupported, DiagramError
-from .zmatrix import _smith_diagonal
+from .zmatrix import _smith_diagonal, _unit_pivots, identity, mat_mul
 
 
 class HomologyReport(Record):
@@ -37,46 +36,56 @@ def first_homology(d: StarDiagram) -> HomologyReport:
     curve or a poked null class, spans nothing new).
 
     When alpha spans a primitive Lagrangian, H1 is the cokernel of the
-    g x n matrix of pairings of alpha with beta and gamma (`_alpha_quotient`);
-    every other diagram is read off the 2g x n matrix of the distinct
-    classes.  Each system is packed once, for validate_diagram's report
-    and for P alike.  The diagram checked every entry when it was built,
-    so the kernels check none."""
-    packing = _pack_diagram(d)
-    violations = _violations(d, packing)
+    g x n matrix P of pairings of alpha with beta and gamma
+    (`_alpha_quotient`); every other diagram is read off the 2g x n matrix
+    of the distinct classes.  One packed sum per alpha class gives both its
+    violations and its row of P (`_violations`).  The diagram checked every
+    entry when it was built, so the kernels check none."""
+    violations, pairing = _violations(d, _pack_diagram(d))
     if not diagram_ok(violations):
         raise DiagramError(
             "diagram invalid: " + "; ".join(v.message for v in violations if not v.advisory)
         )
-    rank, diag = _alpha_quotient(d, packing) or (
+    rank, diag = _alpha_quotient(d, pairing) or (
         2 * d.genus, _smith_diagonal(list(zip(*dict.fromkeys(d.all_classes())))))
     return HomologyReport(rank - sum(map(bool, diag)), tuple(x for x in diag if x > 1))
 
 
-def _alpha_quotient(d: StarDiagram, packing: _Packing) -> Optional[Tuple[int, List[int]]]:
+def _alpha_quotient(d: StarDiagram, pairing: List[List[int]]) -> Optional[Tuple[int, List[int]]]:
     """(g, Smith diagonal of P) when alpha spans a primitive Lagrangian L,
-    else None.  P[i][j] = alpha_i . v_j over the g distinct nonzero alpha
-    classes and the distinct beta and gamma classes v_j.
+    else None.  P = pairing, P[i][j] = alpha_i . v_j over the distinct
+    nonzero alpha classes and the distinct beta and gamma classes v_j.
 
     The pairing is unimodular, so x -> (alpha_i . x)_i maps Z^(2g) onto
     Z^g iff the alpha_i are a basis of a primitive rank-g lattice L.  L is
     then Lagrangian, as the diagram is isotropic, so the kernel is L and
     H1 = Z^(2g) / (L + span(beta + gamma)) is the cokernel of P.  The image
     is spanned by the columns of alpha J (J only permutes and negates
-    columns) and holds those of P, so the map is onto iff the Smith
-    diagonal of [P | alpha] is all ones: the same test as on alpha alone,
-    but cheaper, since P is sparse and small (pairings do not change under
-    symplectic maps) and its columns give most pivots, where alpha's
-    columns are dense.  A class k u' with k > 1 is in no basis of a
-    primitive L (u' would be in L too), so such an alpha is refused before
-    P is read off the packing of d (`_pairing_matrix`)."""
+    columns), so the map is onto iff [P | alpha J] has Smith diagonal all
+    ones, as the columns of P = alpha J V (V has the v_j as columns) add
+    nothing to it.
+
+    One elimination decides both.  Unit pivots in the columns of P, run on
+    [P | I] (`_unit_pivots`), apply a unimodular U and leave k pivot rows
+    and the other rows [B | T] of [U P | U].  The pivot columns are zero in
+    B, so column operations on them clear the pivot rows of
+    [U P | U alpha J] and change no other row: U P has Smith diagonal k
+    ones and that of B, and [U P | U alpha J] k ones and that of
+    [B | T alpha J], where B = T alpha J V again adds nothing.  So the map
+    is onto iff T alpha has Smith diagonal all ones.  A row whose B part is
+    zero stays (U is invertible): its T alpha still needs a unit.  A class
+    k u' with k > 1 is in no basis of a primitive L (u' would be in L too),
+    so such an alpha is refused before any elimination."""
+    g = d.genus
     alpha = [u for u in dict.fromkeys(d.alpha.classes) if any(u)]
-    if len(alpha) != d.genus or any(gcd(*u) > 1 for u in alpha):
+    if len(alpha) != g or any(gcd(*u) > 1 for u in alpha):
         return None
-    pairing = _pairing_matrix(alpha, d, packing)
-    if not all(x == 1 for x in _smith_diagonal([[*p, *u] for p, u in zip(pairing, alpha)])):
+    n = len(pairing[0]) if pairing else 0
+    ones, rest = _unit_pivots([[*p, *e] for p, e in zip(pairing, identity(g))], n)
+    t = [[row.get(j, 0) for j in range(n, n + g)] for row in rest]
+    if rest and not all(x == 1 for x in _smith_diagonal(mat_mul(t, alpha))):
         return None
-    return d.genus, _smith_diagonal(pairing)
+    return g, [1] * ones + _smith_diagonal([[row.get(j, 0) for j in range(n)] for row in rest])
 
 
 def euler_char(p: TrisectionParams) -> int:

@@ -11,8 +11,9 @@ V; it serves callers that need them and is the reference the fast kernel
 is tested against.  `smith_diagonal` computes the diagonal alone: it
 eliminates +-1 pivots on sparse rows first and runs the loop, unbordered,
 only on the unit-free block that is left.  `cokernel_invariants` goes
-through it; H1 of a diagram calls its unchecked core `_smith_diagonal`,
-since a diagram checks its entries when it is built.
+through it; H1 of a diagram calls the unchecked cores `_unit_pivots` (its
+phase 1, on [P | I] with pivots in P) and `_smith_diagonal` on the rows
+left, since a diagram checks its entries when it is built.
 
 `determinant` (row swaps) and `sym_form_invariants` (symmetric swaps)
 share one fraction-free Bareiss step, so nothing here uses rationals.
@@ -159,12 +160,12 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
     Equal to [S[i][i] for i in range(min(rows, cols))] where S is the
     middle factor of `smith_normal_form(m)`.  Two phases:
 
-    1. Unit pivots on sparse rows.  While an entry is +-1, take one from
-       the row with the fewest nonzeros (within it, from the column with
-       the fewest) and clear its column with row operations, a Schur
-       complement step.  The column operations that would clear the pivot
-       row then change that row only, so the row is dropped and a
-       diagonal 1 emitted.
+    1. Unit pivots on sparse rows (`_unit_pivots`).  While an entry is
+       +-1, take one from the row with the fewest nonzeros (within it,
+       from the column with the fewest) and clear its column with row
+       operations, a Schur complement step.  The column operations that
+       would clear the pivot row then change that row only, so the row is
+       dropped and a diagonal 1 emitted.
     2. On the unit-free remainder, `_smith_block`: the pivot loop that
        `smith_normal_form` runs on a bordered matrix, here with no border
        and so no transforms kept.
@@ -178,17 +179,29 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
 def _smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
     """`smith_diagonal` of a matrix of ints that the caller has checked."""
     r, c = dims(m)
+    ones, rows = _unit_pivots(m)
+    cols = sorted({j for row in rows for j in row})
+    block = [[row.get(j, 0) for j in cols] for row in rows]
+    diag = [1] * ones + _smith_block(block, len(block), len(cols))
+    return diag + [0] * (min(r, c) - len(diag))
+
+
+def _unit_pivots(m: Sequence[Sequence[int]], c: Optional[int] = None) -> Tuple[int, List[dict]]:
+    """Phase 1 of `smith_diagonal`: the number of unit pivots and the
+    nonzero rows left, as {column: entry}.  Given c, pivots are taken in
+    the columns below c only, and the others ride along in the row
+    operations: on [M | I] they hold the product U of those operations."""
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     rows = [row for row in rows if row]
-    counts = [0] * c  # nonzeros per column
+    counts = [0] * dims(m)[1]  # nonzeros per column
     for row in rows:
         for j in row:
             counts[j] += 1
     ones = 0
     while True:
-        pivot = _unit_pivot(rows, counts)
+        pivot = _unit_pivot(rows, counts, c)
         if pivot is None:
-            break
+            return ones, rows
         pi, pj = pivot
         prow = rows.pop(pi)
         sign = prow[pj]
@@ -211,24 +224,23 @@ def _smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
                     counts[j] -= 1
         rows = [row for row in rows if row]
         ones += 1
-    cols = sorted({j for row in rows for j in row})
-    block = [[row.get(j, 0) for j in cols] for row in rows]
-    diag = [1] * ones + _smith_block(block, len(block), len(cols))
-    return diag + [0] * (min(r, c) - len(diag))
 
 
-def _unit_pivot(rows: List[dict], counts: List[int]) -> Optional[Tuple[int, int]]:
-    """(row index, column) of a +-1 entry in the shortest row that has one,
-    in the column with the fewest nonzeros; None if no entry is +-1."""
+def _unit_pivot(rows: List[dict], counts: List[int], c: Optional[int]):
+    """(row index, column) of a +-1 entry below column c (if given) in the
+    shortest row that has one, in the column with the fewest nonzeros;
+    None if there is no such entry."""
     best = None
     for i, row in enumerate(rows):
         if best is not None and len(row) >= len(rows[best]):
             continue
-        if 1 in row.values() or -1 in row.values():
+        if (1 in row.values() or -1 in row.values()) and (
+                c is None or any(x in (1, -1) for j, x in row.items() if j < c)):
             best = i
     if best is None:
         return None
-    return best, min((j for j, x in rows[best].items() if x in (1, -1)), key=counts.__getitem__)
+    return best, min((j for j, x in rows[best].items() if x in (1, -1) and (c is None or j < c)),
+                     key=counts.__getitem__)
 
 
 def _smith_block(s: IntMatrix, r: int, c: int) -> List[int]:

@@ -137,6 +137,9 @@ def TrisectionParams_like(lit):
     return parse_params(lit)
 
 
+BRIDGED = parse_params("2;1,1,1").with_bridge(2, (1, 1, 1))
+
+
 class TestFiberSum:
     def test_cacime_surface(self):
         side = parse_params("21;6,6,11").with_bridge(5, (1, 1, 1))
@@ -164,6 +167,15 @@ class TestFiberSum:
         a = parse_params("2;1,1,1")
         with pytest.raises(CellDecompositionMismatch):
             fiber_sum(a, a)
+
+    @pytest.mark.parametrize("left,right,got", [
+        (1, 2, "int and int"),
+        (None, BRIDGED, "NoneType and TrisectionParams"),
+        (BRIDGED, "3;1,1,1", "TrisectionParams and str"),
+    ])
+    def test_non_params_refused(self, left, right, got):
+        with pytest.raises(DiagramError, match=f"^fiber sum needs two TrisectionParams, got {got}$"):
+            fiber_sum(left, right)
 
 
 class TestDestabilize:
@@ -211,7 +223,8 @@ class TestPoke:
         assert len(out.beta.classes) == 1
         assert out.genus == 1
 
-    @pytest.mark.parametrize("counts", [(0.5, 0, 0), (True, 0, 0), (0, 1.0, 0), (0, 0, "1")])
+    @pytest.mark.parametrize("counts", [(0.5, 0, 0), (True, 0, 0), (0, 1.0, 0), (0, 0, "1"), 5,
+                                        None, "123", {0: 1, 1: 1, 2: 1}])
     def test_non_integer_counts_refused(self, counts):
         with pytest.raises(DiagramError, match="^poke counts must be three ints >= 0$"):
             poke(self.base(), counts)

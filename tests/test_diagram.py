@@ -19,9 +19,10 @@ from trisect.diagram import (
     TrisectionParams,
     Violation,
     _pack,
+    _digits,
     _pack_diagram,
-    _packed_pairings,
-    _pairing_matrix,
+    _packed_rows,
+    _violations,
     _width,
     diagram_ok,
     format_params,
@@ -144,6 +145,16 @@ class TestCutSystem:
         with pytest.raises(DiagramError, match=r"^alpha\[1\]: expected a tuple of integers$"):
             CurveSystem("alpha", ((1, 0), [0, 1]))
 
+    @pytest.mark.parametrize("system,lattice", [
+        (CurveSystem("alpha", ((1, 0),)), 1),
+        (((1, 0),), SymplecticLattice(1)),
+        (None, None),
+    ])
+    def test_non_system_or_lattice_refused(self, system, lattice):
+        with pytest.raises(DiagramError, match=(
+                "^validate_cut_system needs a CurveSystem and a SymplecticLattice$")):
+            validate_cut_system(system, lattice)
+
     def test_wrong_length_message(self):
         with pytest.raises(VectorLength, match=r"^gamma\[1\]: length 3 != 4$"):
             validate_cut_system(CurveSystem("gamma", ((1, 0, 0, 0), (1, 0, 0))),
@@ -222,9 +233,9 @@ class TestPackedPairings:
 
 
 class TestPairingRows:
-    """_packed_pairings of us against a packing of vs, read at every
-    position, against one pairing per pair, with the two sides drawn from
-    different entry kinds, so digits of every width are read."""
+    """_packed_rows of us against a packing of vs, each row read at every
+    position by _digits, against one pairing per pair, with the two sides
+    drawn from different entry kinds, so digits of every width are read."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 4), st.sampled_from(ENTRY_KINDS), st.sampled_from(ENTRY_KINDS),
@@ -235,11 +246,12 @@ class TestPairingRows:
                                      .map(tuple), max_size=5))
                   for entries in (u_entries, v_entries))
         w = _width(chain(us, vs), genus)
-        rows = list(_packed_pairings(us, _pack(vs, w, lattice.dim), w, len(vs), range(len(vs))))
+        rows = list(_packed_rows(us, _pack(vs, w, lattice.dim)))
         assert len(rows) == len(us)
         for u, row in zip(us, rows):
             want = [lattice.pair(u, v) for v in vs]
-            assert list(row) == (want if any(want) else [])
+            assert _digits(row, w, len(vs), range(len(vs))) == want
+            assert (row == 0) == (not any(want))
 
 
 @st.composite
@@ -270,19 +282,20 @@ def star_diagrams(draw):
 
 
 class TestDiagramPacking:
-    """One packing per system, shared by validate_diagram and the alpha
-    pairing matrix, against one pairing per pair."""
+    """One packing per system, and one packed sum per alpha class for both
+    validate_diagram and the alpha pairing matrix, against one pairing per
+    pair."""
 
     @settings(max_examples=400, deadline=None)
     @given(star_diagrams())
     def test_matches_per_pair_oracle(self, d):
         lattice = d.lattice()
-        assert validate_diagram(d) == [
+        violations, pairing = _violations(d, _pack_diagram(d))
+        assert violations == validate_diagram(d) == [
             v for name in SYSTEM_NAMES for v in validate_cut_system_per_pair(d.system(name), lattice)]
         us = [u for u in dict.fromkeys(d.alpha.classes) if any(u)]
         vs = list(dict.fromkeys(d.beta.classes + d.gamma.classes))
-        assert _pairing_matrix(us, d, _pack_diagram(d)) == [[lattice.pair(u, v) for v in vs]
-                                                            for u in us]
+        assert pairing == [[lattice.pair(u, v) for v in vs] for u in us]
 
     @pytest.mark.parametrize("genus", [1, 2, 5])
     @pytest.mark.parametrize("top", [1, 3, BIG])
@@ -298,17 +311,34 @@ class TestDiagramPacking:
         d = StarDiagram(genus, 0, CurveSystem("alpha", (u, *rest)),
                         CurveSystem("beta", (v, minus)), CurveSystem("gamma", (v,)),
                         common={"beta_gamma": [0]})
-        assert validate_diagram(d) == []
-        packing = _pack_diagram(d)
+        violations, pairing = _violations(d, _pack_diagram(d))
+        assert violations == []
         bound = 2 * genus * top * top
-        assert _pairing_matrix([u, *rest], d, packing) == [
-            [bound, -bound]] + [[2 * top, -2 * top]] * (genus - 1)
+        assert pairing == [[bound, -bound]] + [[2 * top, -2 * top]] * (genus - 1)
         # a class with gcd top > 1 is in no primitive basis, so only top = 1 takes P
-        assert (_alpha_quotient(d, packing) is None) == (top > 1)
+        assert (_alpha_quotient(d, pairing) is None) == (top > 1)
         classes = d.all_classes()
         inv = cokernel_invariants([[c[r] for c in classes] for r in range(2 * genus)])
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
+
+    @pytest.mark.parametrize("genus", [1, 2, 5])
+    @pytest.mark.parametrize("top", [1, 3, BIG])
+    def test_alpha_isotropy_at_the_digit_bound(self, genus, top):
+        # alpha . alpha reads +-2g * top^2 in the low digits of rows read
+        # against alpha + beta + gamma, whose high digits are nonzero too
+        u, v, minus = (top, -top) * genus, (top, top) * genus, (-top, -top) * genus
+        d = StarDiagram(genus, 0, CurveSystem("alpha", (u, v, minus)),
+                        CurveSystem("beta", (v, u)), CurveSystem("gamma", (minus,)))
+        violations, pairing = _violations(d, _pack_diagram(d))
+        bound = 2 * genus * top * top
+        assert violations == [v for name in SYSTEM_NAMES
+                              for v in validate_cut_system_per_pair(d.system(name), d.lattice())]
+        assert [x.message for x in violations] == [
+            f"alpha[0] . alpha[1] = {bound}, expected 0",
+            f"alpha[0] . alpha[2] = {-bound}, expected 0",
+            f"beta[0] . beta[1] = {-bound}, expected 0"]
+        assert pairing == [[bound, 0, -bound], [0, -bound, 0], [0, bound, 0]]
 
 
 def standard_pair_diagram(genus, alpha, beta, gamma, geo, common=()):

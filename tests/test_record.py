@@ -304,6 +304,14 @@ BAD = [
     (lambda: ClosedPage(-1), DiagramError, "page genus must be >= 0"),
     (lambda: BoundaryCircles(0), CellDecompositionMismatch, "boundary-circle pasting needs n >= 1"),
     (lambda: PastingInput(P1, P1, 1), DiagramError, "unknown pasting mode 1"),
+    pytest.param(lambda: PastingInput(1, 2, ClosedPage(0)), DiagramError,
+                 "pasting needs two TrisectionParams, got int and int", id="pasting: ints"),
+    pytest.param(lambda: PastingInput(P1, None, BoundaryCircles(1)), DiagramError,
+                 "pasting needs two TrisectionParams, got TrisectionParams and NoneType",
+                 id="pasting: None"),
+    pytest.param(lambda: PastingInput("1;0,0,0", P1, ClosedPage(0)), DiagramError,
+                 "pasting needs two TrisectionParams, got str and TrisectionParams",
+                 id="pasting: literal"),
     pytest.param(lambda: PastingInput(P1, P1, ClosedPage(0), (True, 0, 0)), DiagramError,
                  "common-curve counts must be three ints >= 0", id="common counts: bool"),
     pytest.param(lambda: PastingInput(P1, P1, ClosedPage(0), 5), DiagramError,

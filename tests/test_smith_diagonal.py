@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from trisect import diagram, invariants, zmatrix
 from trisect.calculus import poke
-from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice, _pack_diagram
+from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice, _pack_diagram, _violations
 from trisect.farey import enumerate_triples, farey_homology_model
 from trisect.invariants import first_homology
 from trisect.zmatrix import check_int_matrix, dims, identity, mat_copy, smith_diagonal, smith_normal_form
@@ -411,6 +411,11 @@ def lagrangian_diagrams(draw):
     return variant, d
 
 
+def alpha_quotient(d):
+    """_alpha_quotient of d off the pairing matrix that validation reads."""
+    return invariants._alpha_quotient(d, _violations(d, _pack_diagram(d))[1])
+
+
 class TestAlphaQuotient:
     @settings(max_examples=200, deadline=None)
     @given(lagrangian_diagrams())
@@ -420,26 +425,32 @@ class TestAlphaQuotient:
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
         # the path is taken exactly when alpha is g primitive classes
-        assert (invariants._alpha_quotient(d, _pack_diagram(d)) is None) == (variant in ("scaled", "short"))
+        assert (alpha_quotient(d) is None) == (variant in ("scaled", "short"))
         if variant in ("beta=alpha", "gamma=alpha"):
             assert rep.h1_free_rank > 0
 
     def test_non_primitive_alpha_keeps_its_torsion(self):
         # alpha = 2 e1 is not primitive: the Z/2 of Z^2 / span(2 e1) is not seen by pairing
         d = StarDiagram(1, 0, *(CurveSystem(name, ((2, 0),)) for name in SYSTEM_NAMES))
-        assert invariants._alpha_quotient(d, _pack_diagram(d)) is None
+        assert alpha_quotient(d) is None
         assert first_homology(d).h1_str() == "Z + Z/2"
 
     @staticmethod
     def smith_rows(monkeypatch):
-        """The row count of every matrix first_homology hands to the Smith kernel."""
+        """The kernel and row count of every matrix first_homology hands to
+        the unit-pivot pass or the Smith kernel, in call order."""
         rows = []
 
-        def record(m):
-            rows.append(len(m))
+        def record_pivots(m, c=None):
+            rows.append(("pivots", len(m)))
+            return zmatrix._unit_pivots(m, c)
+
+        def record_smith(m):
+            rows.append(("smith", len(m)))
             return zmatrix._smith_diagonal(m)
 
-        monkeypatch.setattr(invariants, "_smith_diagonal", record)
+        monkeypatch.setattr(invariants, "_unit_pivots", record_pivots)
+        monkeypatch.setattr(invariants, "_smith_diagonal", record_smith)
         return rows
 
     def test_block_sums_take_the_pairing_path(self, monkeypatch):
@@ -448,10 +459,12 @@ class TestAlphaQuotient:
         d = block_sum(triples, random_mixes(random.Random(3), 12, 24))
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
-        assert rows == [12, 12]  # [P | alpha], then P; never the 24-row class matrix
+        # one elimination of [P | I] leaves one row [B | T]: then T alpha and
+        # B; never the 24-row class matrix
+        assert rows == [("pivots", 12), ("smith", 1), ("smith", 1)]
 
     def test_a_doubled_alpha_class_skips_both_pairing_forms(self, monkeypatch):
-        # 2u is in no basis of a primitive lattice: refused before P or [P | alpha]
+        # 2u is in no basis of a primitive lattice: refused before any elimination
         triples = TRIPLES[:4]
         d = block_sum(triples, random_mixes(random.Random(3), 12, 24))
         alpha = (tuple(2 * x for x in d.alpha.classes[0]),) + d.alpha.classes[1:]
@@ -461,7 +474,7 @@ class TestAlphaQuotient:
         rep = first_homology(d)
         # here u lies in the span of the other classes, so doubling it leaves H1 as it was
         assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion) == expected_h1(triples)
-        assert rows == [24]  # the class matrix alone
+        assert rows == [("smith", 24)]  # the class matrix alone
 
     def test_each_system_is_packed_once(self, monkeypatch):
         calls = []
@@ -476,3 +489,96 @@ class TestAlphaQuotient:
         first_homology(d)
         # alpha, beta and gamma once each, for the violations and for P alike
         assert calls == [d.alpha.classes, d.beta.classes, d.gamma.classes]
+
+
+# --- the residual check of the alpha quotient --------------------------------
+#
+# alpha_i = sum_j A[i][j] a_j over a standard Lagrangian a, with the rows of
+# A distinct, nonzero and of gcd 1: every alpha class is then primitive and
+# alpha spans a primitive Lagrangian iff det A = +-1, so only the check on
+# the rows the unit pivots leave can refuse it.  beta or gamma may be alpha
+# itself, which zeroes rows of P: the rows left then have an empty P part,
+# and their T alpha alone decides.
+
+SHARES = ("none", "beta=alpha", "gamma=alpha", "both")
+
+
+@st.composite
+def sheared_alpha_diagrams(draw):
+    """(det A, share, diagram), mixed by transvections."""
+    genus = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=genus, max_size=genus).filter(
+        lambda r: gcd(*r) == 1)
+    shear = draw(st.lists(row, min_size=genus, max_size=genus, unique_by=tuple))
+    a, beta, gamma = (standard_lagrangian(draw(st.lists(st.sampled_from(SLOPES), min_size=genus,
+                                                        max_size=genus)))
+                      for _ in SYSTEM_NAMES)
+    alpha = [[sum(c * vec[k] for c, vec in zip(r, a)) for k in range(2 * genus)] for r in shear]
+    mixes = draw(st.lists(st.tuples(st.lists(UNITS, min_size=2 * genus, max_size=2 * genus),
+                                    st.sampled_from((-1, 1))), max_size=3 * genus))
+    lattice = SymplecticLattice(genus)
+    for v, s in mixes:
+        for vec in alpha + beta + gamma:
+            x = s * lattice.pair(vec, v)
+            for j, y in enumerate(v):
+                vec[j] += x * y
+    share = draw(st.sampled_from(SHARES))
+    common = {}
+    if share in ("beta=alpha", "both"):
+        beta, common["alpha_beta"] = alpha, list(range(genus))
+    if share in ("gamma=alpha", "both"):
+        gamma, common["gamma_alpha"] = alpha, list(range(genus))
+    curves = {name: CurveSystem(name, tuple(map(tuple, cls)))
+              for name, cls in zip(SYSTEM_NAMES, (alpha, beta, gamma))}
+    return zmatrix.determinant(shear), share, StarDiagram(genus, 0, common=common, **curves)
+
+
+class TestResidualCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(sheared_alpha_diagrams())
+    def test_matches_full_class_matrix(self, case):
+        det, share, d = case
+        inv = zmatrix.cokernel_invariants(curve_matrix(d))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
+        assert all(gcd(*u) == 1 for u in d.alpha.classes)
+        assert (alpha_quotient(d) is None) == (abs(det) != 1)
+        if share == "both":
+            assert not any(map(any, _violations(d, _pack_diagram(d))[1]))  # P = 0
+
+    def test_non_primitive_span_of_primitive_classes(self):
+        # e1 + e2 and e1 - e2 span a sublattice of index 2: pairing with alpha
+        # alone would read Z + Z, since P = 0 leaves two rows with no P part
+        classes = ((1, 0, 1, 0), (1, 0, -1, 0))
+        d = StarDiagram(2, 0, *(CurveSystem(name, classes) for name in SYSTEM_NAMES),
+                        {"alpha_beta": [0, 1], "gamma_alpha": [0, 1]})
+        assert alpha_quotient(d) is None
+        assert first_homology(d).h1_str() == "Z + Z + Z/2"
+
+
+class TestUnitPivots:
+    """_unit_pivots with a column limit c on [M | I]: no row vanishes, the
+    rows left are [T M | T] with no unit in T M, and for any X the Smith
+    diagonal of [M | X] is the pivots' ones and that of [T M | T X]."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(matrices(), st.integers(0, 3), st.data())
+    def test_bordered_pass_against_smith_normal_form(self, m, k, data):
+        r, c = dims(m)
+        x = [data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k)) for _ in range(r)]
+        ones, rest = zmatrix._unit_pivots([[*row, *e] for row, e in zip(m, identity(r))], c)
+        assert ones + len(rest) == r
+        b = [[row.get(j, 0) for j in range(c)] for row in rest]
+        t = [[row.get(c + i, 0) for i in range(r)] for row in rest]
+        assert b == [[sum(ti * mi[j] for ti, mi in zip(tr, m)) for j in range(c)] for tr in t]
+        assert not any(v in (1, -1) for row in b for v in row)
+        tx = [[sum(ti * xi[j] for ti, xi in zip(tr, x)) for j in range(k)] for tr in t]
+        got = [1] * ones + smith_diagonal([br + txr for br, txr in zip(b, tx)])
+        want = reference_diagonal([row + xr for row, xr in zip(m, x)])
+        assert [v for v in got if v] == [v for v in want if v]
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_no_limit_is_phase_one(self, m):
+        # every pivot column allowed: the same pass smith_diagonal runs
+        assert zmatrix._unit_pivots(m) == zmatrix._unit_pivots(m, dims(m)[1])
