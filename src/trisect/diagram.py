@@ -143,11 +143,12 @@ class Violation(Record):
     _defaults = {"advisory": False}
 
 
-def _width(classes: Iterable[Sequence[int]], genus: int) -> int:
-    """The digit width w of a packing: two classes of genus g with entries
-    at most top in size pair to |u . v| <= 2g * top^2 < 2^(w-1)."""
-    top = max(map(abs, chain.from_iterable(classes)), default=0)
-    return (2 * genus * top * top).bit_length() + 1
+def _width(classes: Iterable[Sequence[int]]) -> int:
+    """The digit width w of a packing.  By Cauchy-Schwarz, as J (it swaps
+    and negates coordinate pairs) keeps lengths, |u . v| = |<u, Jv>| <= M,
+    the largest |u|^2 among the classes (at most 2g * top^2 for entries of
+    size top), so w = M.bit_length() + 1 keeps |u . v| < 2^(w-1)."""
+    return max((sum(map(mul, u, u)) for u in classes), default=0).bit_length() + 1
 
 
 def _pack(classes: Sequence[Sequence[int]], w: int, dim: int) -> List[int]:
@@ -158,31 +159,40 @@ def _pack(classes: Sequence[Sequence[int]], w: int, dim: int) -> List[int]:
 
 
 def _packed_rows(us: Iterable[Sequence[int]], packed: Sequence[int]) -> Iterator[int]:
-    """For each u, sum_k (u[2k] * P_(2k+1) - u[2k+1] * P_(2k)) off the
-    packing P of classes v_j: the row sum_j (u . v_j) * 2^(w*j), with
-    |u . v_j| < 2^(w-1) by the choice of w."""
-    even, odd = packed[0::2], packed[1::2]
+    """For each u, sum_k u[k] * D_k off the dual D = [P_1, -P_0, P_3, -P_2,
+    ...] of the packing P of classes v_j: the row sum_j (u . v_j) * 2^(w*j),
+    with |u . v_j| < 2^(w-1) by the choice of w."""
+    dual = [x for p, q in zip(packed[0::2], packed[1::2]) for x in (q, -p)]
     for u in us:
-        yield sum(map(mul, odd, u[0::2])) - sum(map(mul, even, u[1::2]))
+        yield sum(map(mul, dual, u))
 
 
-def _digits(row: int, w: int, n: int, positions: Iterable[int]) -> List[int]:
-    """The pairings u . v_j at positions off a row of n digits (`_packed_rows`).
-
-    Adding B = sum_j 2^(w-1) * 2^(w*j) once makes every digit
-    u . v_j + 2^(w-1), a plain w-bit field with no borrow from the digit
-    below, so each pairing is one shift and one mask away."""
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    row += ((1 << w * n) - 1) // mask * half
-    return [((row >> w * j) & mask) - half for j in positions]
+def _bias(w: int, n: int) -> int:
+    """B = sum_j 2^(w-1) * 2^(w*j) over n digits of width w."""
+    return ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)
 
 
-def _cut_violations(system: CurveSystem, packed: Sequence[int], w: int, n: int):
-    """(validate_cut_system, the row of each class) off a packing of n
-    classes whose first k = len(system) are the system's own.  Those k
-    digits are all zero iff row & (2^(w*k) - 1) == 0, as their sum is below
-    2^(w*k-1) in size and balanced digits are unique, so a valid system
-    decodes no digit."""
+def _nonzero_digits(row: int, bias: int, w: int) -> Iterator[Tuple[int, int]]:
+    """(j, u . v_j) for each nonzero digit of a row (`_packed_rows`), in
+    order of j, given B = `_bias` over at least its digits.  Each field of
+    row + B is u . v_j + 2^(w-1), with no borrow from the digit below, and
+    xor-ing B back leaves u . v_j in w-bit two's complement: a zero pairing
+    is a zero field, so only the set fields are read, each cleared after."""
+    x = (row + bias) ^ bias
+    mask, top = (1 << w) - 1, 1 << (w - 1)
+    while x:
+        j = ((x & -x).bit_length() - 1) // w
+        f = (x >> w * j) & mask
+        yield j, f - ((f & top) << 1)
+        x ^= f << w * j
+
+
+def _cut_violations(system: CurveSystem, packed: Sequence[int], w: int, bias: int):
+    """(validate_cut_system, the row of each class) off a packing of classes
+    whose first k = len(system) are the system's own, with B = `_bias` over
+    every digit.  Those k digits are all zero iff row & (2^(w*k) - 1) == 0,
+    as their sum is below 2^(w*k-1) in size and balanced digits are unique,
+    so a valid system decodes no digit."""
     label, classes = system.label, system.classes
     out = [Violation("zero_class", f"{label}[{i}] is null", advisory=True)
            for i, v in enumerate(classes) if not any(v)]
@@ -190,9 +200,9 @@ def _cut_violations(system: CurveSystem, packed: Sequence[int], w: int, n: int):
     own = (1 << w * k) - 1
     rows = list(_packed_rows(classes, packed))
     for i, row in enumerate(rows):
-        digits = _digits(row, w, n, range(i + 1, k)) if row & own else ()
-        out += [Violation("pairing", f"{label}[{i}] . {label}[{j}] = {x}, expected 0")
-                for j, x in enumerate(digits, i + 1) if x]
+        if row & own:
+            out += [Violation("pairing", f"{label}[{i}] . {label}[{j}] = {x}, expected 0")
+                    for j, x in _nonzero_digits(row, bias, w) if i < j < k]
     return out, rows
 
 
@@ -211,8 +221,9 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
             raise VectorLength(
                 f"{system.label}[{idx}]: length {len(v)} != {lattice.dim}"
             )
-    w = _width(system.classes, lattice.genus)
-    return _cut_violations(system, _pack(system.classes, w, lattice.dim), w, len(system))[0]
+    w = _width(system.classes)
+    return _cut_violations(system, _pack(system.classes, w, lattice.dim), w,
+                           _bias(w, len(system)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +347,28 @@ _Packing = Tuple[int, List[List[int]]]
 def _pack_diagram(d: StarDiagram) -> _Packing:
     """One digit width w for every class of d, and each system packed once
     with it, in SYSTEM_NAMES order: what `_violations` reads."""
-    w = _width(chain(d.alpha.classes, d.beta.classes, d.gamma.classes), d.genus)
+    w = _width(chain(d.alpha.classes, d.beta.classes, d.gamma.classes))
     return w, [_pack(s.classes, w, 2 * d.genus) for s in (d.alpha, d.beta, d.gamma)]
 
 
-def _violations(d: StarDiagram, packing: _Packing) -> Tuple[List[Violation], List[List[int]]]:
-    """validate_diagram off the packing of d, and the pairing matrix P:
-    P[i][j] = u_i . v_j over the distinct nonzero alpha classes u_i and the
-    distinct beta and gamma classes v_j, each in order of first occurrence.
-    Each alpha class is read against alpha + beta + gamma, its packing
-    joined to the others with two shift-adds per column, so one packed sum
-    gives both its report (the low digits) and its row of P."""
+def _violations(d: StarDiagram, packing: _Packing) -> Tuple[List[Violation], List[Dict[int, int]]]:
+    """validate_diagram off the packing of d, and the pairing matrix P in
+    sparse rows, P[i] = {j: u_i . v_j if nonzero}, over the distinct nonzero
+    alpha classes u_i and the distinct beta and gamma classes v_j, each at
+    its first occurrence (j is its digit position).  Each alpha class is
+    read against alpha + beta + gamma (its packing joined to the others by
+    two shift-adds per column): one packed sum gives its report and row."""
     w, (alpha_packed, beta_packed, gamma_packed) = packing
     alpha, beta, gamma = d.alpha.classes, d.beta.classes, d.gamma.classes
     lo, hi, n = w * len(alpha), w * (len(alpha) + len(beta)), len(alpha + beta + gamma)
+    bias = _bias(w, n)
     joined = [a + (b << lo) + (c << hi) for a, b, c in zip(alpha_packed, beta_packed, gamma_packed)]
-    out, rows = _cut_violations(d.alpha, joined, w, n)
-    out += _cut_violations(d.beta, beta_packed, w, len(beta))[0]
-    out += _cut_violations(d.gamma, gamma_packed, w, len(gamma))[0]
-    first: Dict[Tuple[int, ...], int] = {}
-    for j, v in enumerate(beta + gamma, len(alpha)):
-        first.setdefault(v, j)
-    return out, [_digits(row, w, n, first.values())
+    out, rows = _cut_violations(d.alpha, joined, w, bias)
+    out += _cut_violations(d.beta, beta_packed, w, bias)[0]
+    out += _cut_violations(d.gamma, gamma_packed, w, bias)[0]
+    # read backwards, so each class is left at its first position
+    keep = set({v: j for j, v in reversed(list(enumerate(beta + gamma, len(alpha))))}.values())
+    return out, [{j: x for j, x in _nonzero_digits(row, bias, w) if j in keep}
                  for u, row in dict(zip(alpha, rows)).items() if any(u)]
 
 

@@ -6,19 +6,20 @@ systems.  When the alpha classes span a primitive Lagrangian (g distinct
 nonzero classes whose Smith diagonal is all ones), pairing with them
 identifies Z^(2g) / span(alpha) with Z^g, and H1 is the cokernel of the
 g x n matrix P of their pairings with the beta and gamma classes (read
-off the packed sums that validate alpha; one unit-pivot pass over [P | I]
-both tests alpha and reduces P); otherwise it is read off the 2g x n
-matrix of all classes.  Euler characteristic and handle counts come
-straight from the parameter tuple, for closed manifolds only.
+sparse off the packed sums that validate alpha; one unit-pivot pass over
+[P | 2I], whose even tracking entries are never pivots, both tests alpha
+and reduces P); otherwise it is read off the 2g x n matrix of all
+classes.  Euler characteristic and handle counts come straight from the
+parameter tuple, for closed manifolds only.
 """
 
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
 from .diagram import StarDiagram, TrisectionParams, _pack_diagram, _violations, diagram_ok
 from .errors import BoundaryNotSupported, DiagramError
-from .zmatrix import _smith_diagonal, _unit_pivots, identity, mat_mul
+from .zmatrix import _smith_diagonal, _smith_rows, _unit_pivots
 
 
 class HomologyReport(Record):
@@ -51,10 +52,11 @@ def first_homology(d: StarDiagram) -> HomologyReport:
     return HomologyReport(rank - sum(map(bool, diag)), tuple(x for x in diag if x > 1))
 
 
-def _alpha_quotient(d: StarDiagram, pairing: List[List[int]]) -> Optional[Tuple[int, List[int]]]:
+def _alpha_quotient(d: StarDiagram, pairing: List[Dict[int, int]]) -> Optional[Tuple[int, List[int]]]:
     """(g, Smith diagonal of P) when alpha spans a primitive Lagrangian L,
-    else None.  P = pairing, P[i][j] = alpha_i . v_j over the distinct
-    nonzero alpha classes and the distinct beta and gamma classes v_j.
+    else None.  P = pairing, P[i] = {j: alpha_i . v_j} over the distinct
+    nonzero alpha classes and the distinct beta and gamma classes v_j, at
+    positions j below n = len(alpha + beta + gamma) (`_violations`).
 
     The pairing is unimodular, so x -> (alpha_i . x)_i maps Z^(2g) onto
     Z^g iff the alpha_i are a basis of a primitive rank-g lattice L.  L is
@@ -65,14 +67,16 @@ def _alpha_quotient(d: StarDiagram, pairing: List[List[int]]) -> Optional[Tuple[
     ones, as the columns of P = alpha J V (V has the v_j as columns) add
     nothing to it.
 
-    One elimination decides both.  Unit pivots in the columns of P, run on
-    [P | I] (`_unit_pivots`), apply a unimodular U and leave k pivot rows
-    and the other rows [B | T] of [U P | U].  The pivot columns are zero in
-    B, so column operations on them clear the pivot rows of
-    [U P | U alpha J] and change no other row: U P has Smith diagonal k
-    ones and that of B, and [U P | U alpha J] k ones and that of
-    [B | T alpha J], where B = T alpha J V again adds nothing.  So the map
-    is onto iff T alpha has Smith diagonal all ones.  A row whose B part is
+    One elimination decides both.  Unit pivots on [P | 2I] (`_unit_pivots`,
+    2I at columns n + i) take no column limit: row operations keep the
+    tracking entries even, so every pivot is in P.  They apply a unimodular
+    U and leave k pivot rows and the other rows [B | 2T] of [U P | 2U].
+    The pivot columns are zero in B, so column operations on them clear
+    the pivot rows of [U P | U alpha J] and change no other row: U P has
+    Smith diagonal k ones and that of B, and [U P | U alpha J] k ones and
+    that of [B | T alpha J], where B = T alpha J V again adds nothing.  So
+    the map is onto iff T alpha has Smith diagonal all ones; B holds no
+    unit, so it goes straight to the pivot loop.  A row whose B part is
     zero stays (U is invertible): its T alpha still needs a unit.  A class
     k u' with k > 1 is in no basis of a primitive L (u' would be in L too),
     so such an alpha is refused before any elimination."""
@@ -80,12 +84,13 @@ def _alpha_quotient(d: StarDiagram, pairing: List[List[int]]) -> Optional[Tuple[
     alpha = [u for u in dict.fromkeys(d.alpha.classes) if any(u)]
     if len(alpha) != g or any(gcd(*u) > 1 for u in alpha):
         return None
-    n = len(pairing[0]) if pairing else 0
-    ones, rest = _unit_pivots([[*p, *e] for p, e in zip(pairing, identity(g))], n)
-    t = [[row.get(j, 0) for j in range(n, n + g)] for row in rest]
-    if rest and not all(x == 1 for x in _smith_diagonal(mat_mul(t, alpha))):
+    n = len(d.alpha) + len(d.beta) + len(d.gamma)
+    ones, rest = _unit_pivots([{**p, n + i: 2} for i, p in enumerate(pairing)], n + g)
+    t_alpha = [[sum(col) for col in zip(*([x // 2 * a for a in alpha[j - n]]
+                                          for j, x in row.items() if j >= n))] for row in rest]
+    if rest and not all(x == 1 for x in _smith_diagonal(t_alpha)):
         return None
-    return g, [1] * ones + _smith_diagonal([[row.get(j, 0) for j in range(n)] for row in rest])
+    return g, [1] * ones + _smith_rows([{j: x for j, x in row.items() if j < n} for row in rest])
 
 
 def euler_char(p: TrisectionParams) -> int:

@@ -11,9 +11,10 @@ V; it serves callers that need them and is the reference the fast kernel
 is tested against.  `smith_diagonal` computes the diagonal alone: it
 eliminates +-1 pivots on sparse rows first and runs the loop, unbordered,
 only on the unit-free block that is left.  `cokernel_invariants` goes
-through it; H1 of a diagram calls the unchecked cores `_unit_pivots` (its
-phase 1, on [P | I] with pivots in P) and `_smith_diagonal` on the rows
-left, since a diagram checks its entries when it is built.
+through it.  H1 of a diagram, whose entries were checked when it was
+built, calls the unchecked cores: `_unit_pivots` (phase 1) on the dict
+rows of [P | 2I], then `_smith_rows` (phase 2) on the rows left, and
+`_smith_diagonal`.
 
 `determinant` (row swaps) and `sym_form_invariants` (symmetric swaps)
 share one fraction-free Bareiss step, so nothing here uses rationals.
@@ -31,7 +32,7 @@ emits one conjugated shear of at most 5 letters, and each of the two
 possible sign fixes emits 2, so a word has at most 5*(shears) + 4 letters.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ._record import Record
 from .errors import FormUndefined, NotSL3, NotUnimodular
@@ -179,27 +180,32 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
 def _smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
     """`smith_diagonal` of a matrix of ints that the caller has checked."""
     r, c = dims(m)
-    ones, rows = _unit_pivots(m)
-    cols = sorted({j for row in rows for j in row})
-    block = [[row.get(j, 0) for j in cols] for row in rows]
-    diag = [1] * ones + _smith_block(block, len(block), len(cols))
+    ones, rows = _unit_pivots([{j: x for j, x in enumerate(row) if x} for row in m], c)
+    diag = [1] * ones + _smith_rows(rows)
     return diag + [0] * (min(r, c) - len(diag))
 
 
-def _unit_pivots(m: Sequence[Sequence[int]], c: Optional[int] = None) -> Tuple[int, List[dict]]:
-    """Phase 1 of `smith_diagonal`: the number of unit pivots and the
-    nonzero rows left, as {column: entry}.  Given c, pivots are taken in
-    the columns below c only, and the others ride along in the row
-    operations: on [M | I] they hold the product U of those operations."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+def _smith_rows(rows: List[dict]) -> List[int]:
+    """The nonzero Smith diagonal of rows {column: entry}, by `_smith_block`
+    on the columns they use."""
+    cols = sorted({j for row in rows for j in row})
+    block = [[row.get(j, 0) for j in cols] for row in rows]
+    return _smith_block(block, len(block), len(cols))
+
+
+def _unit_pivots(rows: List[dict], ncols: int) -> Tuple[int, List[dict]]:
+    """Phase 1 of `smith_diagonal` on rows {column: entry}, columns below
+    ncols, changed in place: the number of unit pivots and the nonzero rows
+    left.  On [M | 2I] the 2I part, never a unit as row operations keep it
+    even, ends as 2U for the product U of those operations."""
     rows = [row for row in rows if row]
-    counts = [0] * dims(m)[1]  # nonzeros per column
+    counts = [0] * ncols  # nonzeros per column
     for row in rows:
         for j in row:
             counts[j] += 1
     ones = 0
     while True:
-        pivot = _unit_pivot(rows, counts, c)
+        pivot = _unit_pivot(rows, counts)
         if pivot is None:
             return ones, rows
         pi, pj = pivot
@@ -226,21 +232,18 @@ def _unit_pivots(m: Sequence[Sequence[int]], c: Optional[int] = None) -> Tuple[i
         ones += 1
 
 
-def _unit_pivot(rows: List[dict], counts: List[int], c: Optional[int]):
-    """(row index, column) of a +-1 entry below column c (if given) in the
-    shortest row that has one, in the column with the fewest nonzeros;
-    None if there is no such entry."""
+def _unit_pivot(rows: List[dict], counts: List[int]):
+    """(row index, column) of a +-1 entry in the shortest row that has one,
+    in the column with the fewest nonzeros; None if there is no such entry."""
     best = None
     for i, row in enumerate(rows):
         if best is not None and len(row) >= len(rows[best]):
             continue
-        if (1 in row.values() or -1 in row.values()) and (
-                c is None or any(x in (1, -1) for j, x in row.items() if j < c)):
+        if 1 in row.values() or -1 in row.values():
             best = i
     if best is None:
         return None
-    return best, min((j for j, x in rows[best].items() if x in (1, -1) and (c is None or j < c)),
-                     key=counts.__getitem__)
+    return best, min((j for j, x in rows[best].items() if x in (1, -1)), key=counts.__getitem__)
 
 
 def _smith_block(s: IntMatrix, r: int, c: int) -> List[int]:

@@ -18,8 +18,9 @@ from trisect.diagram import (
     SymplecticLattice,
     TrisectionParams,
     Violation,
+    _bias,
+    _nonzero_digits,
     _pack,
-    _digits,
     _pack_diagram,
     _packed_rows,
     _violations,
@@ -230,12 +231,15 @@ class TestPackedPairings:
         assert f"alpha[0] . alpha[1] = {2 * genus * top * top}, expected 0" in [
             x.message for x in got]
         assert sum(x.kind == "pairing" for x in got) == 6  # u meets each +-v
+        # |u|^2 = 2g * top^2 = |u . v|: the Cauchy-Schwarz width is tight here
+        assert _width(system.classes) == (2 * genus * top * top).bit_length() + 1
 
 
 class TestPairingRows:
-    """_packed_rows of us against a packing of vs, each row read at every
-    position by _digits, against one pairing per pair, with the two sides
-    drawn from different entry kinds, so digits of every width are read."""
+    """_packed_rows of us against a packing of vs, each row read by
+    _nonzero_digits, against one pairing per pair: every nonzero pairing at
+    its digit position and no other, with the two sides drawn from
+    different entry kinds, so digits of every width are read."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 4), st.sampled_from(ENTRY_KINDS), st.sampled_from(ENTRY_KINDS),
@@ -245,13 +249,29 @@ class TestPairingRows:
         us, vs = (data.draw(st.lists(st.lists(entries, min_size=2 * genus, max_size=2 * genus)
                                      .map(tuple), max_size=5))
                   for entries in (u_entries, v_entries))
-        w = _width(chain(us, vs), genus)
+        w = _width(chain(us, vs))
         rows = list(_packed_rows(us, _pack(vs, w, lattice.dim)))
         assert len(rows) == len(us)
         for u, row in zip(us, rows):
             want = [lattice.pair(u, v) for v in vs]
-            assert _digits(row, w, len(vs), range(len(vs))) == want
+            assert list(_nonzero_digits(row, _bias(w, len(vs)), w)) == [
+                (j, x) for j, x in enumerate(want) if x]
             assert (row == 0) == (not any(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.data())
+    def test_width_bounds_every_pairing(self, genus, data):
+        # the Cauchy-Schwarz width holds every pairing and is never wider
+        # than the width off the largest entry, 2g * top^2
+        lattice = SymplecticLattice(genus)
+        zero = st.just((0,) * (2 * genus))
+        classes = data.draw(st.lists(st.one_of(
+            zero, st.lists(data.draw(st.sampled_from(ENTRY_KINDS)), min_size=2 * genus,
+                           max_size=2 * genus).map(tuple)), max_size=6))
+        w = _width(classes)
+        assert all(abs(lattice.pair(u, v)) < 1 << (w - 1) for u in classes for v in classes)
+        top = max(map(abs, chain.from_iterable(classes)), default=0)
+        assert w <= (2 * genus * top * top).bit_length() + 1
 
 
 @st.composite
@@ -281,10 +301,22 @@ def star_diagrams(draw):
                        common=common)
 
 
+def pairing_per_pair(d):
+    """The alpha pairing matrix as one pairing per pair: for each distinct
+    nonzero alpha class, {digit position: pairing} over the first
+    occurrence of each distinct beta and gamma class, nonzero pairings only."""
+    lattice, alpha = d.lattice(), d.alpha.classes
+    first = {}
+    for j, v in enumerate(d.beta.classes + d.gamma.classes, len(alpha)):
+        first.setdefault(v, j)
+    return [{j: x for v, j in first.items() if (x := lattice.pair(u, v))}
+            for u in dict.fromkeys(alpha) if any(u)]
+
+
 class TestDiagramPacking:
     """One packing per system, and one packed sum per alpha class for both
-    validate_diagram and the alpha pairing matrix, against one pairing per
-    pair."""
+    validate_diagram and the sparse alpha pairing matrix, against one
+    pairing per pair."""
 
     @settings(max_examples=400, deadline=None)
     @given(star_diagrams())
@@ -293,9 +325,7 @@ class TestDiagramPacking:
         violations, pairing = _violations(d, _pack_diagram(d))
         assert violations == validate_diagram(d) == [
             v for name in SYSTEM_NAMES for v in validate_cut_system_per_pair(d.system(name), lattice)]
-        us = [u for u in dict.fromkeys(d.alpha.classes) if any(u)]
-        vs = list(dict.fromkeys(d.beta.classes + d.gamma.classes))
-        assert pairing == [[lattice.pair(u, v) for v in vs] for u in us]
+        assert pairing == pairing_per_pair(d)
 
     @pytest.mark.parametrize("genus", [1, 2, 5])
     @pytest.mark.parametrize("top", [1, 3, BIG])
@@ -314,7 +344,9 @@ class TestDiagramPacking:
         violations, pairing = _violations(d, _pack_diagram(d))
         assert violations == []
         bound = 2 * genus * top * top
-        assert pairing == [[bound, -bound]] + [[2 * top, -2 * top]] * (genus - 1)
+        # beta = (v, minus) sits at digits g and g + 1; gamma's v repeats beta[0]
+        assert pairing == pairing_per_pair(d) == (
+            [{genus: bound, genus + 1: -bound}] + [{genus: 2 * top, genus + 1: -2 * top}] * (genus - 1))
         # a class with gcd top > 1 is in no primitive basis, so only top = 1 takes P
         assert (_alpha_quotient(d, pairing) is None) == (top > 1)
         classes = d.all_classes()
@@ -338,7 +370,8 @@ class TestDiagramPacking:
             f"alpha[0] . alpha[1] = {bound}, expected 0",
             f"alpha[0] . alpha[2] = {-bound}, expected 0",
             f"beta[0] . beta[1] = {-bound}, expected 0"]
-        assert pairing == [[bound, 0, -bound], [0, -bound, 0], [0, bound, 0]]
+        # beta = (v, u) and gamma = (minus,) sit at digits 3, 4 and 5
+        assert pairing == pairing_per_pair(d) == [{3: bound, 5: -bound}, {4: -bound}, {4: bound}]
 
 
 def standard_pair_diagram(genus, alpha, beta, gamma, geo, common=()):

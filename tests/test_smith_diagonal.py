@@ -438,19 +438,25 @@ class TestAlphaQuotient:
     @staticmethod
     def smith_rows(monkeypatch):
         """The kernel and row count of every matrix first_homology hands to
-        the unit-pivot pass or the Smith kernel, in call order."""
+        the unit-pivot pass, the Smith kernel or the unit-free pivot loop,
+        in call order."""
         rows = []
 
-        def record_pivots(m, c=None):
+        def record_pivots(m, ncols):
             rows.append(("pivots", len(m)))
-            return zmatrix._unit_pivots(m, c)
+            return zmatrix._unit_pivots(m, ncols)
 
         def record_smith(m):
             rows.append(("smith", len(m)))
             return zmatrix._smith_diagonal(m)
 
+        def record_block(m):
+            rows.append(("block", len(m)))
+            return zmatrix._smith_rows(m)
+
         monkeypatch.setattr(invariants, "_unit_pivots", record_pivots)
         monkeypatch.setattr(invariants, "_smith_diagonal", record_smith)
+        monkeypatch.setattr(invariants, "_smith_rows", record_block)
         return rows
 
     def test_block_sums_take_the_pairing_path(self, monkeypatch):
@@ -459,9 +465,10 @@ class TestAlphaQuotient:
         d = block_sum(triples, random_mixes(random.Random(3), 12, 24))
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
-        # one elimination of [P | I] leaves one row [B | T]: then T alpha and
-        # B; never the 24-row class matrix
-        assert rows == [("pivots", 12), ("smith", 1), ("smith", 1)]
+        # one elimination of [P | 2I] leaves one row [B | 2T]: then the Smith
+        # form of T alpha, and the pivot loop alone on the unit-free B; never
+        # the 24-row class matrix
+        assert rows == [("pivots", 12), ("smith", 1), ("block", 1)]
 
     def test_a_doubled_alpha_class_skips_both_pairing_forms(self, monkeypatch):
         # 2u is in no basis of a primitive lattice: refused before any elimination
@@ -557,28 +564,37 @@ class TestResidualCheck:
 
 
 class TestUnitPivots:
-    """_unit_pivots with a column limit c on [M | I]: no row vanishes, the
-    rows left are [T M | T] with no unit in T M, and for any X the Smith
-    diagonal of [M | X] is the pivots' ones and that of [T M | T X]."""
+    """_unit_pivots on [M | 2I], with no column limit: the tracking entries
+    stay even, so no pivot is taken from them; no row vanishes, the rows
+    left are [B | 2T] with B = T M holding no unit, and for any X the Smith
+    diagonal of [M | X] is the pivots' ones and that of [B | T X]."""
 
     @settings(max_examples=400, deadline=None)
     @given(matrices(), st.integers(0, 3), st.data())
     def test_bordered_pass_against_smith_normal_form(self, m, k, data):
         r, c = dims(m)
         x = [data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k)) for _ in range(r)]
-        ones, rest = zmatrix._unit_pivots([[*row, *e] for row, e in zip(m, identity(r))], c)
+        pivots = []
+
+        def record(rows, counts):
+            pivot = unit_pivot(rows, counts)
+            pivots.append(pivot and pivot[1])
+            return pivot
+
+        unit_pivot = zmatrix._unit_pivot
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zmatrix, "_unit_pivot", record)
+            rows = [{**{j: v for j, v in enumerate(row) if v}, c + i: 2} for i, row in enumerate(m)]
+            ones, rest = zmatrix._unit_pivots(rows, c + r)
+        assert pivots[-1] is None and len(pivots) == ones + 1
+        assert all(j < c for j in pivots[:-1])  # every pivot in M
+        assert all(v % 2 == 0 for row in rest for j, v in row.items() if j >= c)
         assert ones + len(rest) == r
         b = [[row.get(j, 0) for j in range(c)] for row in rest]
-        t = [[row.get(c + i, 0) for i in range(r)] for row in rest]
+        t = [[row.get(c + i, 0) // 2 for i in range(r)] for row in rest]
         assert b == [[sum(ti * mi[j] for ti, mi in zip(tr, m)) for j in range(c)] for tr in t]
         assert not any(v in (1, -1) for row in b for v in row)
         tx = [[sum(ti * xi[j] for ti, xi in zip(tr, x)) for j in range(k)] for tr in t]
         got = [1] * ones + smith_diagonal([br + txr for br, txr in zip(b, tx)])
         want = reference_diagonal([row + xr for row, xr in zip(m, x)])
         assert [v for v in got if v] == [v for v in want if v]
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices())
-    def test_no_limit_is_phase_one(self, m):
-        # every pivot column allowed: the same pass smith_diagonal runs
-        assert zmatrix._unit_pivots(m) == zmatrix._unit_pivots(m, dims(m)[1])
