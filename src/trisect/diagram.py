@@ -340,43 +340,33 @@ class StarDiagram(Record):
         return list(self.alpha.classes) + list(self.beta.classes) + list(self.gamma.classes)
 
 
-# a digit width w and the packed columns of alpha, beta and gamma
-_Packing = Tuple[int, List[List[int]]]
-
-
-def _pack_diagram(d: StarDiagram) -> _Packing:
-    """One digit width w for every class of d, and each system packed once
-    with it, in SYSTEM_NAMES order: what `_violations` reads."""
-    w = _width(chain(d.alpha.classes, d.beta.classes, d.gamma.classes))
-    return w, [_pack(s.classes, w, 2 * d.genus) for s in (d.alpha, d.beta, d.gamma)]
-
-
-def _violations(d: StarDiagram, packing: _Packing) -> Tuple[List[Violation], List[Dict[int, int]]]:
-    """validate_diagram off the packing of d, and the pairing matrix P in
-    sparse rows, P[i] = {j: u_i . v_j if nonzero}, over the distinct nonzero
-    alpha classes u_i and the distinct beta and gamma classes v_j, each at
-    its first occurrence (j is its digit position).  Each alpha class is
-    read against alpha + beta + gamma (its packing joined to the others by
-    two shift-adds per column): one packed sum gives its report and row."""
-    w, (alpha_packed, beta_packed, gamma_packed) = packing
+def _violations(d: StarDiagram) -> Tuple[List[Violation], Dict[tuple, Dict[int, int]]]:
+    """validate_diagram, and the pairing matrix P in sparse rows keyed by
+    class: P[u] = {j: u . v_j if nonzero} for each distinct nonzero alpha
+    class u, in file order, over every beta and gamma class v_j at its
+    digit position j (len(alpha) on).  A repeated class is a repeated
+    column of P, which leaves coker P as it is.  Every class of d takes one
+    digit width, and each system is packed once.  Each alpha class is read
+    against alpha + beta + gamma (its packing joined to the others by two
+    shift-adds per column): one packed sum gives its report and its row."""
     alpha, beta, gamma = d.alpha.classes, d.beta.classes, d.gamma.classes
-    lo, hi, n = w * len(alpha), w * (len(alpha) + len(beta)), len(alpha + beta + gamma)
-    bias = _bias(w, n)
+    w = _width(chain(alpha, beta, gamma))
+    alpha_packed, beta_packed, gamma_packed = (_pack(c, w, 2 * d.genus) for c in (alpha, beta, gamma))
+    k, lo, hi = len(alpha), w * len(alpha), w * (len(alpha) + len(beta))
+    bias = _bias(w, len(alpha + beta + gamma))
     joined = [a + (b << lo) + (c << hi) for a, b, c in zip(alpha_packed, beta_packed, gamma_packed)]
     out, rows = _cut_violations(d.alpha, joined, w, bias)
     out += _cut_violations(d.beta, beta_packed, w, bias)[0]
     out += _cut_violations(d.gamma, gamma_packed, w, bias)[0]
-    # read backwards, so each class is left at its first position
-    keep = set({v: j for j, v in reversed(list(enumerate(beta + gamma, len(alpha))))}.values())
-    return out, [{j: x for j, x in _nonzero_digits(row, bias, w) if j in keep}
-                 for u, row in dict(zip(alpha, rows)).items() if any(u)]
+    return out, {u: {j: x for j, x in _nonzero_digits(row, bias, w) if j >= k}
+                 for u, row in zip(alpha, rows) if any(u)}
 
 
 def validate_diagram(d: StarDiagram) -> List[Violation]:
     """Cut-system report of the three systems: pairing violations and
     zero-class advisories.  The common and geo claims were checked when
     the diagram was built."""
-    return _violations(d, _pack_diagram(d))[0]
+    return _violations(d)[0]
 
 
 def diagram_ok(violations: Sequence[Violation]) -> bool:

@@ -8,13 +8,13 @@ There is one dense Smith pivot loop, `_smith_block`, and two kernels call
 it.  `smith_normal_form` runs it on the matrix bordered by identities, so
 the same row and column operations build the unimodular transforms U and
 V; it serves callers that need them and is the reference the fast kernel
-is tested against.  `smith_diagonal` computes the diagonal alone: it
-eliminates +-1 pivots on sparse rows first and runs the loop, unbordered,
-only on the unit-free block that is left.  `cokernel_invariants` goes
-through it.  H1 of a diagram, whose entries were checked when it was
-built, calls the unchecked cores: `_unit_pivots` (phase 1) on the dict
-rows of [P | 2I], then `_smith_rows` (phase 2) on the rows left, and
-`_smith_diagonal`.
+is tested against.  `_smith_rows` computes the nonzero diagonal alone
+off sparse rows {column: entry}: it eliminates +-1 pivots first
+(`_unit_pivots`) and runs the loop, unbordered, only on the unit-free
+block left.  `smith_diagonal` and `cokernel_invariants` check a dense
+matrix and call it.  H1 of a diagram, whose entries were checked when it
+was built, calls the unchecked cores: `_unit_pivots` on [P | 2I] and
+`_smith_rows` on what is left, or `_smith_rows` on the class matrix.
 
 `determinant` (row swaps) and `sym_form_invariants` (symmetric swaps)
 share one fraction-free Bareiss step, so nothing here uses rationals.
@@ -32,7 +32,8 @@ emits one conjugated shear of at most 5 letters, and each of the two
 possible sign fixes emits 2, so a word has at most 5*(shears) + 4 letters.
 """
 
-from typing import List, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Sequence, Tuple
 
 from ._record import Record
 from .errors import FormUndefined, NotSL3, NotUnimodular
@@ -159,50 +160,46 @@ def smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
     """The diagonal of the Smith normal form of m, without U and V.
 
     Equal to [S[i][i] for i in range(min(rows, cols))] where S is the
-    middle factor of `smith_normal_form(m)`.  Two phases:
-
-    1. Unit pivots on sparse rows (`_unit_pivots`).  While an entry is
-       +-1, take one from the row with the fewest nonzeros (within it,
-       from the column with the fewest) and clear its column with row
-       operations, a Schur complement step.  The column operations that
-       would clear the pivot row then change that row only, so the row is
-       dropped and a diagonal 1 emitted.
-    2. On the unit-free remainder, `_smith_block`: the pivot loop that
-       `smith_normal_form` runs on a bordered matrix, here with no border
-       and so no transforms kept.
-
-    Validates m like `smith_normal_form` does.
+    middle factor of `smith_normal_form(m)`: the nonzero diagonal of
+    `_smith_rows` on the sparse rows of m, padded with zeros.  Validates m
+    like `smith_normal_form` does.
     """
     check_int_matrix(m)
-    return _smith_diagonal(m)
-
-
-def _smith_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
-    """`smith_diagonal` of a matrix of ints that the caller has checked."""
-    r, c = dims(m)
-    ones, rows = _unit_pivots([{j: x for j, x in enumerate(row) if x} for row in m], c)
-    diag = [1] * ones + _smith_rows(rows)
-    return diag + [0] * (min(r, c) - len(diag))
+    diag = _smith_rows([{j: x for j, x in enumerate(row) if x} for row in m])
+    return diag + [0] * (min(dims(m)) - len(diag))
 
 
 def _smith_rows(rows: List[dict]) -> List[int]:
-    """The nonzero Smith diagonal of rows {column: entry}, by `_smith_block`
-    on the columns they use."""
+    """The nonzero Smith diagonal of rows {column: entry}, nonzero entries
+    only and any int column keys, checked by the caller.  Two phases:
+
+    1. Unit pivots (`_unit_pivots`).  While an entry is +-1, take one from
+       the row with the fewest nonzeros (within it, from the column with
+       the fewest) and clear its column with row operations, a Schur
+       complement step.  The column operations that would clear the pivot
+       row then change that row only, so the row is dropped and a
+       diagonal 1 emitted.
+    2. On the unit-free rows left, `_smith_block` on the columns they use:
+       the pivot loop that `smith_normal_form` runs on a bordered matrix,
+       here with no border and so no transforms kept.
+
+    The rows are changed in place.  U m V = S gives V^T m^T U^T = S^T, so
+    the rows of m and those of its transpose give one diagonal.
+    """
+    ones, rows = _unit_pivots(rows)
     cols = sorted({j for row in rows for j in row})
     block = [[row.get(j, 0) for j in cols] for row in rows]
-    return _smith_block(block, len(block), len(cols))
+    return [1] * ones + _smith_block(block, len(block), len(cols))
 
 
-def _unit_pivots(rows: List[dict], ncols: int) -> Tuple[int, List[dict]]:
-    """Phase 1 of `smith_diagonal` on rows {column: entry}, columns below
-    ncols, changed in place: the number of unit pivots and the nonzero rows
-    left.  On [M | 2I] the 2I part, never a unit as row operations keep it
-    even, ends as 2U for the product U of those operations."""
+def _unit_pivots(rows: List[dict]) -> Tuple[int, List[dict]]:
+    """Phase 1 of `_smith_rows`, on its rows and in place: the number of
+    unit pivots and the nonzero rows left.  On [M | 2I] the 2I part, never
+    a unit as row operations keep it even, ends as 2U for the product U of
+    those operations."""
     rows = [row for row in rows if row]
-    counts = [0] * ncols  # nonzeros per column
-    for row in rows:
-        for j in row:
-            counts[j] += 1
+    # nonzeros per column, in a plain dict: its item access is faster than Counter's
+    counts = dict(Counter(j for row in rows for j in row))
     ones = 0
     while True:
         pivot = _unit_pivot(rows, counts)
@@ -232,7 +229,7 @@ def _unit_pivots(rows: List[dict], ncols: int) -> Tuple[int, List[dict]]:
         ones += 1
 
 
-def _unit_pivot(rows: List[dict], counts: List[int]):
+def _unit_pivot(rows: List[dict], counts: Dict[int, int]):
     """(row index, column) of a +-1 entry in the shortest row that has one,
     in the column with the fewest nonzeros; None if there is no such entry."""
     best = None
@@ -315,10 +312,9 @@ class CokernelInvariants(Record):
 
 def cokernel_invariants(m: Sequence[Sequence[int]]) -> CokernelInvariants:
     """Free rank and torsion factors (>1) of Z^rows / col-span(m)."""
-    diag = smith_diagonal(m)
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return CokernelInvariants(len(m) - rank, torsion)
+    check_int_matrix(m)
+    diag = _smith_rows([{j: x for j, x in enumerate(row) if x} for row in m])
+    return CokernelInvariants(len(m) - len(diag), tuple(d for d in diag if d > 1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from trisect.diagram import (
     _bias,
     _nonzero_digits,
     _pack,
-    _pack_diagram,
     _packed_rows,
     _violations,
     _width,
@@ -303,14 +302,12 @@ def star_diagrams(draw):
 
 def pairing_per_pair(d):
     """The alpha pairing matrix as one pairing per pair: for each distinct
-    nonzero alpha class, {digit position: pairing} over the first
-    occurrence of each distinct beta and gamma class, nonzero pairings only."""
+    nonzero alpha class, in file order, {digit position: pairing} over
+    every beta and gamma class, nonzero pairings only."""
     lattice, alpha = d.lattice(), d.alpha.classes
-    first = {}
-    for j, v in enumerate(d.beta.classes + d.gamma.classes, len(alpha)):
-        first.setdefault(v, j)
-    return [{j: x for v, j in first.items() if (x := lattice.pair(u, v))}
-            for u in dict.fromkeys(alpha) if any(u)]
+    return {u: {j: x for j, v in enumerate(d.beta.classes + d.gamma.classes, len(alpha))
+                if (x := lattice.pair(u, v))}
+            for u in alpha if any(u)}
 
 
 class TestDiagramPacking:
@@ -322,10 +319,10 @@ class TestDiagramPacking:
     @given(star_diagrams())
     def test_matches_per_pair_oracle(self, d):
         lattice = d.lattice()
-        violations, pairing = _violations(d, _pack_diagram(d))
+        violations, pairing = _violations(d)
         assert violations == validate_diagram(d) == [
             v for name in SYSTEM_NAMES for v in validate_cut_system_per_pair(d.system(name), lattice)]
-        assert pairing == pairing_per_pair(d)
+        assert list(pairing.items()) == list(pairing_per_pair(d).items())
 
     @pytest.mark.parametrize("genus", [1, 2, 5])
     @pytest.mark.parametrize("top", [1, 3, BIG])
@@ -341,12 +338,14 @@ class TestDiagramPacking:
         d = StarDiagram(genus, 0, CurveSystem("alpha", (u, *rest)),
                         CurveSystem("beta", (v, minus)), CurveSystem("gamma", (v,)),
                         common={"beta_gamma": [0]})
-        violations, pairing = _violations(d, _pack_diagram(d))
+        violations, pairing = _violations(d)
         assert violations == []
         bound = 2 * genus * top * top
-        # beta = (v, minus) sits at digits g and g + 1; gamma's v repeats beta[0]
-        assert pairing == pairing_per_pair(d) == (
-            [{genus: bound, genus + 1: -bound}] + [{genus: 2 * top, genus + 1: -2 * top}] * (genus - 1))
+        # beta = (v, minus) sits at digits g and g + 1; gamma's v repeats
+        # beta[0] at digit g + 2, a repeated column of P
+        want = dict(zip(d.alpha.classes, [{genus: bound, genus + 1: -bound, genus + 2: bound}] + [
+            {genus: 2 * top, genus + 1: -2 * top, genus + 2: 2 * top}] * (genus - 1)))
+        assert list(pairing.items()) == list(pairing_per_pair(d).items()) == list(want.items())
         # a class with gcd top > 1 is in no primitive basis, so only top = 1 takes P
         assert (_alpha_quotient(d, pairing) is None) == (top > 1)
         classes = d.all_classes()
@@ -362,7 +361,7 @@ class TestDiagramPacking:
         u, v, minus = (top, -top) * genus, (top, top) * genus, (-top, -top) * genus
         d = StarDiagram(genus, 0, CurveSystem("alpha", (u, v, minus)),
                         CurveSystem("beta", (v, u)), CurveSystem("gamma", (minus,)))
-        violations, pairing = _violations(d, _pack_diagram(d))
+        violations, pairing = _violations(d)
         bound = 2 * genus * top * top
         assert violations == [v for name in SYSTEM_NAMES
                               for v in validate_cut_system_per_pair(d.system(name), d.lattice())]
@@ -371,7 +370,8 @@ class TestDiagramPacking:
             f"alpha[0] . alpha[2] = {-bound}, expected 0",
             f"beta[0] . beta[1] = {-bound}, expected 0"]
         # beta = (v, u) and gamma = (minus,) sit at digits 3, 4 and 5
-        assert pairing == pairing_per_pair(d) == [{3: bound, 5: -bound}, {4: -bound}, {4: bound}]
+        want = {u: {3: bound, 5: -bound}, v: {4: -bound}, minus: {4: bound}}
+        assert list(pairing.items()) == list(pairing_per_pair(d).items()) == list(want.items())
 
 
 def standard_pair_diagram(genus, alpha, beta, gamma, geo, common=()):

@@ -3,7 +3,9 @@
 `smith_diagonal` must agree with the diagonal of `smith_normal_form` (the
 reference that also builds U and V) and with sympy's Smith form, on random
 matrices and on block sums of Farey homology models whose H1 is known in
-closed form.  `smith_normal_form`, which runs the shared pivot loop on a
+closed form; `_smith_rows`, the sparse kernel under it, must give that
+diagonal off the rows of a matrix and off those of its transpose, under
+any column keys.  `smith_normal_form`, which runs the shared pivot loop on a
 bordered matrix, must return exactly the (U, S, V) of the earlier
 implementation pinned below, which kept U and V by explicit row and column
 operations.  H1 of a diagram whose alpha spans a primitive Lagrangian,
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from trisect import diagram, invariants, zmatrix
 from trisect.calculus import poke
-from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice, _pack_diagram, _violations
+from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice, _violations
 from trisect.farey import enumerate_triples, farey_homology_model
 from trisect.invariants import first_homology
 from trisect.zmatrix import check_int_matrix, dims, identity, mat_copy, smith_diagonal, smith_normal_form
@@ -106,6 +108,39 @@ class TestRandomMatrices:
             smith_diagonal([[1, 2], [3]])
         with pytest.raises(ValueError):
             smith_diagonal([[True]])
+
+
+@st.composite
+def repeated_matrices(draw, entries=st.integers(-9, 9)):
+    """matrices(), then maybe one row and one column repeated, each copy at
+    a drawn place."""
+    m = draw(matrices(entries))
+    r, c = dims(m)
+    if r and draw(st.booleans()):
+        m.insert(draw(st.integers(0, r)), list(m[draw(st.integers(0, r - 1))]))
+    if c and draw(st.booleans()):
+        j, at = draw(st.integers(0, c - 1)), draw(st.integers(0, c))
+        for row in m:
+            row.insert(at, row[j])
+    return m
+
+
+class TestSmithRows:
+    """_smith_rows on the sparse rows of M, and on those of its transpose,
+    under any distinct int column keys: the nonzero diagonal of
+    smith_normal_form(M) both times, as M and its transpose have one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(repeated_matrices(), repeated_matrices(UNITS), repeated_matrices(UNIT_FREE)),
+           st.data())
+    def test_rows_and_columns_against_smith_normal_form(self, m, data):
+        want = [x for x in reference_diagonal(m) if x]
+        for rows in (m, [list(col) for col in zip(*m)]):
+            width = len(rows[0]) if rows else 0
+            keys = data.draw(st.lists(st.integers(-50, 50), min_size=width, max_size=width,
+                                      unique=True))
+            sparse = [{k: x for k, x in zip(keys, row) if x} for row in rows]
+            assert zmatrix._smith_rows(sparse) == want
 
 
 def pinned_smith_normal_form(m):
@@ -373,6 +408,19 @@ def standard_lagrangian(slopes):
     return out
 
 
+def mix(draw, genus, vectors):
+    """Apply up to 3g drawn transvections x -> x + s * (x . v) * v, v with
+    entries in {-1, 0, 1}, to every vector in place."""
+    mixes = draw(st.lists(st.tuples(st.lists(UNITS, min_size=2 * genus, max_size=2 * genus),
+                                    st.sampled_from((-1, 1))), max_size=3 * genus))
+    lattice = SymplecticLattice(genus)
+    for v, s in mixes:
+        for vec in vectors:
+            a = s * lattice.pair(vec, v)
+            for j, y in enumerate(v):
+                vec[j] += a * y
+
+
 @st.composite
 def lagrangian_diagrams(draw):
     """(variant, diagram): three standard Lagrangians, varied, then mixed by
@@ -388,14 +436,7 @@ def lagrangian_diagrams(draw):
     if variant == "scaled":
         i, k = draw(st.integers(0, genus - 1)), draw(st.sampled_from((2, 3)))
         alpha[i] = [k * x for x in alpha[i]]
-    mixes = draw(st.lists(st.tuples(st.lists(UNITS, min_size=2 * genus, max_size=2 * genus),
-                                    st.sampled_from((-1, 1))), max_size=3 * genus))
-    lattice = SymplecticLattice(genus)
-    for v, s in mixes:
-        for vec in alpha + beta + gamma:
-            a = s * lattice.pair(vec, v)
-            for j, y in enumerate(v):
-                vec[j] += a * y
+    mix(draw, genus, alpha + beta + gamma)
     common = {}
     if variant == "short":
         alpha = alpha[:-1]
@@ -413,7 +454,7 @@ def lagrangian_diagrams(draw):
 
 def alpha_quotient(d):
     """_alpha_quotient of d off the pairing matrix that validation reads."""
-    return invariants._alpha_quotient(d, _violations(d, _pack_diagram(d))[1])
+    return invariants._alpha_quotient(d, _violations(d)[1])
 
 
 class TestAlphaQuotient:
@@ -438,25 +479,19 @@ class TestAlphaQuotient:
     @staticmethod
     def smith_rows(monkeypatch):
         """The kernel and row count of every matrix first_homology hands to
-        the unit-pivot pass, the Smith kernel or the unit-free pivot loop,
-        in call order."""
+        the unit-pivot pass or the Smith kernel, in call order."""
         rows = []
 
-        def record_pivots(m, ncols):
+        def record_pivots(m):
             rows.append(("pivots", len(m)))
-            return zmatrix._unit_pivots(m, ncols)
+            return zmatrix._unit_pivots(m)
 
         def record_smith(m):
             rows.append(("smith", len(m)))
-            return zmatrix._smith_diagonal(m)
-
-        def record_block(m):
-            rows.append(("block", len(m)))
             return zmatrix._smith_rows(m)
 
         monkeypatch.setattr(invariants, "_unit_pivots", record_pivots)
-        monkeypatch.setattr(invariants, "_smith_diagonal", record_smith)
-        monkeypatch.setattr(invariants, "_smith_rows", record_block)
+        monkeypatch.setattr(invariants, "_smith_rows", record_smith)
         return rows
 
     def test_block_sums_take_the_pairing_path(self, monkeypatch):
@@ -466,9 +501,8 @@ class TestAlphaQuotient:
         rep = first_homology(d)
         assert (rep.h1_free_rank, rep.h1_torsion) == expected_h1(triples)
         # one elimination of [P | 2I] leaves one row [B | 2T]: then the Smith
-        # form of T alpha, and the pivot loop alone on the unit-free B; never
-        # the 24-row class matrix
-        assert rows == [("pivots", 12), ("smith", 1), ("block", 1)]
+        # form of T alpha, and that of the unit-free B; never the class matrix
+        assert rows == [("pivots", 12), ("smith", 1), ("smith", 1)]
 
     def test_a_doubled_alpha_class_skips_both_pairing_forms(self, monkeypatch):
         # 2u is in no basis of a primitive lattice: refused before any elimination
@@ -481,7 +515,9 @@ class TestAlphaQuotient:
         rep = first_homology(d)
         # here u lies in the span of the other classes, so doubling it leaves H1 as it was
         assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion) == expected_h1(triples)
-        assert rows == [("smith", 24)]  # the class matrix alone
+        # the class matrix alone, its 31 distinct classes as rows of the transpose
+        assert len(set(d.all_classes())) == 31
+        assert rows == [("smith", 31)]
 
     def test_each_system_is_packed_once(self, monkeypatch):
         calls = []
@@ -496,6 +532,41 @@ class TestAlphaQuotient:
         first_homology(d)
         # alpha, beta and gamma once each, for the violations and for P alike
         assert calls == [d.alpha.classes, d.beta.classes, d.gamma.classes]
+
+
+@st.composite
+def shared_diagrams(draw):
+    """(alpha doubled, diagram): beta and gamma share the curves of a drawn
+    set of planes under a beta_gamma claim, alpha[0] maybe doubled (off the
+    quotient), all mixed by transvections and then poked."""
+    genus = draw(st.integers(1, 4))
+    slopes = [draw(st.lists(st.sampled_from(SLOPES), min_size=genus, max_size=genus))
+              for _ in SYSTEM_NAMES]
+    shared = sorted(draw(st.sets(st.integers(0, genus - 1))))
+    for i in shared:
+        slopes[2][i] = slopes[1][i]
+    alpha, beta, gamma = map(standard_lagrangian, slopes)
+    doubled = draw(st.booleans())
+    if doubled:
+        alpha[0] = [2 * x for x in alpha[0]]
+    mix(draw, genus, alpha + beta + gamma)
+    curves = {name: CurveSystem(name, tuple(map(tuple, cls)))
+              for name, cls in zip(SYSTEM_NAMES, (alpha, beta, gamma))}
+    d = StarDiagram(genus, 0, common={"beta_gamma": shared} if shared else {}, **curves)
+    return doubled, poke(d, draw(st.tuples(*[st.integers(0, 2)] * 3)))
+
+
+class TestSharedAndPoked:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_diagrams())
+    def test_matches_full_class_matrix(self, case):
+        # a common curve is a repeated column, a puncture a null class: on
+        # either path H1 is the cokernel of the full class matrix
+        doubled, d = case
+        inv = zmatrix.cokernel_invariants(curve_matrix(d))
+        rep = first_homology(d)
+        assert (rep.h1_free_rank, rep.h1_torsion) == (inv.free_rank, inv.torsion)
+        assert (alpha_quotient(d) is None) == doubled
 
 
 # --- the residual check of the alpha quotient --------------------------------
@@ -521,14 +592,7 @@ def sheared_alpha_diagrams(draw):
                                                         max_size=genus)))
                       for _ in SYSTEM_NAMES)
     alpha = [[sum(c * vec[k] for c, vec in zip(r, a)) for k in range(2 * genus)] for r in shear]
-    mixes = draw(st.lists(st.tuples(st.lists(UNITS, min_size=2 * genus, max_size=2 * genus),
-                                    st.sampled_from((-1, 1))), max_size=3 * genus))
-    lattice = SymplecticLattice(genus)
-    for v, s in mixes:
-        for vec in alpha + beta + gamma:
-            x = s * lattice.pair(vec, v)
-            for j, y in enumerate(v):
-                vec[j] += x * y
+    mix(draw, genus, alpha + beta + gamma)
     share = draw(st.sampled_from(SHARES))
     common = {}
     if share in ("beta=alpha", "both"):
@@ -551,7 +615,7 @@ class TestResidualCheck:
         assert all(gcd(*u) == 1 for u in d.alpha.classes)
         assert (alpha_quotient(d) is None) == (abs(det) != 1)
         if share == "both":
-            assert not any(map(any, _violations(d, _pack_diagram(d))[1]))  # P = 0
+            assert not any(_violations(d)[1].values())  # P = 0
 
     def test_non_primitive_span_of_primitive_classes(self):
         # e1 + e2 and e1 - e2 span a sublattice of index 2: pairing with alpha
@@ -564,10 +628,11 @@ class TestResidualCheck:
 
 
 class TestUnitPivots:
-    """_unit_pivots on [M | 2I], with no column limit: the tracking entries
-    stay even, so no pivot is taken from them; no row vanishes, the rows
-    left are [B | 2T] with B = T M holding no unit, and for any X the Smith
-    diagonal of [M | X] is the pivots' ones and that of [B | T X]."""
+    """_unit_pivots on [M | 2I], the 2I block at keys ~i = -1 - i: the
+    tracking entries stay even, so no pivot is taken from them; no row
+    vanishes, the rows left are [B | 2T] with B = T M holding no unit, and
+    for any X the Smith diagonal of [M | X] is the pivots' ones and that of
+    [B | T X]."""
 
     @settings(max_examples=400, deadline=None)
     @given(matrices(), st.integers(0, 3), st.data())
@@ -584,14 +649,14 @@ class TestUnitPivots:
         unit_pivot = zmatrix._unit_pivot
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zmatrix, "_unit_pivot", record)
-            rows = [{**{j: v for j, v in enumerate(row) if v}, c + i: 2} for i, row in enumerate(m)]
-            ones, rest = zmatrix._unit_pivots(rows, c + r)
+            rows = [{**{j: v for j, v in enumerate(row) if v}, ~i: 2} for i, row in enumerate(m)]
+            ones, rest = zmatrix._unit_pivots(rows)
         assert pivots[-1] is None and len(pivots) == ones + 1
-        assert all(j < c for j in pivots[:-1])  # every pivot in M
-        assert all(v % 2 == 0 for row in rest for j, v in row.items() if j >= c)
+        assert all(j >= 0 for j in pivots[:-1])  # every pivot in M
+        assert all(v % 2 == 0 for row in rest for j, v in row.items() if j < 0)
         assert ones + len(rest) == r
         b = [[row.get(j, 0) for j in range(c)] for row in rest]
-        t = [[row.get(c + i, 0) // 2 for i in range(r)] for row in rest]
+        t = [[row.get(~i, 0) // 2 for i in range(r)] for row in rest]
         assert b == [[sum(ti * mi[j] for ti, mi in zip(tr, m)) for j in range(c)] for tr in t]
         assert not any(v in (1, -1) for row in b for v in row)
         tx = [[sum(ti * xi[j] for ti, xi in zip(tr, x)) for j in range(k)] for tr in t]
