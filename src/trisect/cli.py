@@ -13,6 +13,7 @@ given input.
 """
 
 import argparse
+import io
 import os
 import sys
 from typing import List, Optional
@@ -202,13 +203,21 @@ def _cmd_farey_atlas(args) -> int:
     import csv  # on first use, so that the other verbs start without it
 
     def write_csv(fh) -> int:
-        # each row is written as it is produced; returns the row count
-        writer = csv.DictWriter(fh, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
+        # rows go out in blocks of about 64 kB as they are produced, not in
+        # one write (a syscall, on an unbuffered stdout) each; returns the
+        # row count
+        block = io.StringIO()
+        writer = csv.DictWriter(block, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
         writer.writeheader()
         count = 0
         for row in atlas_rows(max_den):
             writer.writerow(row)
             count += 1
+            if block.tell() >= 1 << 16:
+                fh.write(block.getvalue())
+                block.seek(0)
+                block.truncate()
+        fh.write(block.getvalue())
         return count
 
     if not args.out:

@@ -5,7 +5,10 @@ Fractions are vertices of the Farey graph; two fractions a/b, c/d are
 neighbors when |ad - bc| = 1.  A triple with all pairwise distances in
 {-1, 0, 1} determines a closed 4-manifold, classified here through the
 symmetric form of the triple (three distinct fractions), a parity rule
-(two distinct), or a spun lens space (all equal).
+(two distinct), or a spun lens space (all equal).  Fractions are kept
+reduced with den >= 0, so two are equal exactly when their distance is 0:
+the kind is read off the three distances, and no fraction is compared or
+hashed.
 
 Classification runs no elimination.  Indefinite unimodular forms are fixed
 by rank, signature and parity (Serre, A Course in Arithmetic, ch. V).
@@ -13,8 +16,8 @@ Both shapes of qx start with the block [[A, -1], [-1, 0]], of determinant
 -1 and so indefinite.  Two distinct fractions give that block alone, with
 A = +-bd: even_indefinite (1,) when bd is even, odd_indefinite (1, 1) when
 it is odd.  Three distinct fractions give det qx = -C for the corner
-C = qx[2][2], whose factors and divisor are Farey distances, so C = +-1 and
-the form is odd.  The block holds one negative direction, so det -1
+C = qx[2][2], the product of the three distances, so C = +-1 and the form
+is odd.  The block holds one negative direction, so det -1
 (C = 1) leaves one negative eigenvalue in all, odd_indefinite (2, 1), and
 det +1 (C = -1) two, odd_indefinite (1, 2).  `zmatrix.classify_unimodular`
 of `qx` is the reference.
@@ -73,37 +76,46 @@ class FareyClassification(Record):
     __slots__ = ("kind", "manifold", "refined", "form")
 
 
-def triple_kind(t: FareyTriple) -> str:
-    pairs = ((t.x, t.y), (t.x, t.z), (t.y, t.z))
-    if any(abs(dmet(u, v)) > 1 for u, v in pairs):
+def _distances(t: FareyTriple) -> Tuple[int, int, int]:
+    """Farey distances dmet(x, y), dmet(x, z), dmet(y, z) of the triple."""
+    a, b = t.x.num, t.x.den
+    c, d = t.y.num, t.y.den
+    p, q = t.z.num, t.z.den
+    return a * d - b * c, a * q - b * p, c * q - d * p
+
+
+def _kind(xy: int, xz: int, yz: int) -> str:
+    """Kind of a triple from its three Farey distances.
+
+    Canonical reduced fractions are equal exactly when their distance is
+    0, and equality is transitive, so a triple has 3, 1 or no zero
+    distances: all equal, two distinct, or three distinct.
+    """
+    if not (-1 <= xy <= 1 and -1 <= xz <= 1 and -1 <= yz <= 1):
         return KIND_INVALID
-    distinct = len({t.x, t.y, t.z})
-    if distinct == 1:
-        return KIND_ALL_EQUAL
-    if distinct == 2:
+    if xy and xz and yz:
+        return KIND_TRIPLET
+    if xy or xz:
         return KIND_TWO_DISTINCT
-    # canonical reduced fractions: distinct <=> dmet != 0, so all pairs hit +-1
-    return KIND_TRIPLET
+    return KIND_ALL_EQUAL
+
+
+def triple_kind(t: FareyTriple) -> str:
+    """Invalid when two slopes are more than one apart; otherwise the
+    number of zero Farey distances (3, 1 or 0) gives AllEqual,
+    TwoDistinct or FareyTriplet."""
+    return _kind(*_distances(t))
 
 
 def _two_distinct_split(t: FareyTriple) -> Tuple[Fraction, Fraction]:
-    """(distinct fraction, repeated fraction) for a TwoDistinct triple."""
-    fracs = [t.x, t.y, t.z]
-    for f in fracs:
-        if fracs.count(f) == 1:
-            lone = f
-        else:
-            repeated = f
-    return lone, repeated
-
-
-def _triplet_corner(x: Fraction, y: Fraction, z: Fraction) -> int:
-    """qx[2][2] of the triplet (x, y, z): (bp-aq)(cq-dp)/(bc-ad), a
-    product since bc - ad = +-1."""
-    a, b = x.num, x.den
-    c, d = y.num, y.den
-    p, q = z.num, z.den
-    return (b * p - a * q) * (c * q - d * p) * (b * c - a * d)
+    """(distinct fraction, repeated fraction) for a TwoDistinct triple:
+    the zero distance names the repeated pair."""
+    xy, xz, _ = _distances(t)
+    if not xy:
+        return t.z, t.x
+    if not xz:
+        return t.y, t.x
+    return t.x, t.y
 
 
 def qx(t: FareyTriple) -> IntMatrix:
@@ -127,7 +139,7 @@ def qx(t: FareyTriple) -> IntMatrix:
         return [
             [b * d * (a * d - b * c), -1, off],
             [-1, 0, 0],
-            [off, 0, _triplet_corner(t.x, t.y, t.z)],
+            [off, 0, (b * p - a * q) * (c * q - d * p) * (b * c - a * d)],
         ]
     if kind == KIND_TWO_DISTINCT:
         lone, repeated = _two_distinct_split(t)
@@ -140,28 +152,36 @@ def qx(t: FareyTriple) -> IntMatrix:
 def classify(t: FareyTriple) -> FareyClassification:
     """Closed 4-manifold of the triple per the Farey trichotomy.
 
-    The form class is read off integers with no elimination, by the
-    argument of the module docstring: the parity of bd for two distinct
-    fractions, and the corner C = qx[2][2] = -det qx of the sorted triplet
-    (C = 1: odd_indefinite (2, 1); C = -1: (1, 2)).
+    The kind and the form class are read off the three Farey distances,
+    with no elimination and no comparison of fractions, by the argument of
+    the module docstring: the zero distances give the kind, two distinct
+    fractions take the parity of the product of their denominators, and a
+    triplet the corner C = qx[2][2] = -det qx of its (den, num)-sorted
+    order (C = 1: odd_indefinite (2, 1); C = -1: (1, 2)).
     """
-    kind = triple_kind(t)
-    if kind == KIND_INVALID:
-        return FareyClassification(kind, None, None, None)
-    if kind == KIND_ALL_EQUAL:
-        f = t.x  # fraction q/p spins L(p, q)
-        return FareyClassification(kind, SpunLens(f.den, f.num), None, _ZERO)
+    a, b = t.x.num, t.x.den
+    c, d = t.y.num, t.y.den
+    p, q = t.z.num, t.z.den
+    xy, xz, yz = a * d - b * c, a * q - b * p, c * q - d * p
+    kind = _kind(xy, xz, yz)
+    if kind == KIND_TRIPLET:
+        # C = xy * xz * yz, and each distance is alternating, so C changes
+        # sign under every transposition.  An odd permutation of the
+        # triple reverses orientation and flips the signature of qx, so
+        # the (den, num)-sorted order is canonical: its corner is C times
+        # the sign of the sorting permutation.
+        odd = ((b, a) > (d, c)) ^ ((b, a) > (q, p)) ^ ((d, c) > (q, p))
+        if (xy * xz * yz == 1) != odd:
+            return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
+        return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
     if kind == KIND_TWO_DISTINCT:
-        lone, repeated = _two_distinct_split(t)
-        if (lone.den * repeated.den) % 2 == 0:
+        # x = y leaves x and z distinct; x = z or y = z leaves x and y
+        if (b * (q if not xy else d)) % 2 == 0:
             return FareyClassification(kind, S2XS2, ("S4", S2XS2), _EVEN_1)
         return FareyClassification(kind, S2TWS2, ("S4", S2TWS2), _ODD_11)
-    # an odd permutation of the triple reverses orientation and flips the
-    # signature of qx; classification fixes the sorted order as canonical
-    corner = _triplet_corner(*sorted(t, key=lambda f: (f.den, f.num)))
-    if corner == 1:
-        return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
-    return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
+    if kind == KIND_ALL_EQUAL:  # fraction a/b spins L(b, a)
+        return FareyClassification(kind, SpunLens(b, a), None, _ZERO)
+    return FareyClassification(kind, None, None, None)
 
 
 def mediants(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
@@ -196,27 +216,31 @@ def fraction_universe(max_den: int) -> List[Fraction]:
 def enumerate_triples(max_den: int) -> Iterator[Tuple[FareyTriple, FareyClassification]]:
     """All valid triples over fraction_universe(max_den), one ordered
     representative per multiset (sorted by (den, num)), with
-    classifications."""
+    classifications.
+
+    Every pair of the universe is tested once, on plain integers: a/b and
+    c/d are joined when |ad - bc| <= 1 (distance 0 only for a fraction and
+    itself).  The triples are then i <= j <= k with j and k joined to i
+    and k joined to j, in lexicographic order."""
     universe = fraction_universe(max_den)
-    n = len(universe)
-    # adjacency in the Farey graph, self-loops included (distance 0)
-    neighbors: List[set] = [set() for _ in range(n)]
-    for i in range(n):
-        neighbors[i].add(i)
+    slopes = [(f.num, f.den) for f in universe]
+    n = len(slopes)
+    # later[i]: i and its Farey neighbours j > i, ascending
+    later: List[List[int]] = []
+    for i, (a, b) in enumerate(slopes):
+        row = [i]
         for j in range(i + 1, n):
-            if abs(dmet(universe[i], universe[j])) <= 1:
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-    for i in range(n):
-        for j in sorted(neighbors[i]):
-            if j < i:
-                continue
-            both = neighbors[i] & neighbors[j]
-            for k in sorted(both):
-                if k < j:
-                    continue
-                t = FareyTriple(universe[i], universe[j], universe[k])
-                yield t, classify(t)
+            c, d = slopes[j]
+            if -1 <= a * d - b * c <= 1:
+                row.append(j)
+        later.append(row)
+    for i, row in enumerate(later):
+        joined = set(row)
+        for j in row:
+            for k in later[j]:
+                if k in joined:
+                    t = FareyTriple(universe[i], universe[j], universe[k])
+                    yield t, classify(t)
 
 
 def atlas_rows(max_den: int) -> Iterator[Dict[str, object]]:

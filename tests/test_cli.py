@@ -336,6 +336,23 @@ class TestAtlas:
         assert code == 0 and target.read_bytes() == expected.encode()
         assert out == f"wrote {expected.count(chr(10)) - 1} rows to {target}\n"
 
+    def test_stdout_written_in_blocks(self, monkeypatch):
+        # on an unbuffered stdout each write is a syscall, so the rows go
+        # out in blocks of about 64 kB, not one write each
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                Counting.writes += 1
+                return super().write(text)
+
+        out = Counting()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["farey-atlas", "--max-den", "20"]) == 0
+        text = out.getvalue()
+        assert text.count("\n") == 3065  # the header and 3064 rows
+        assert Counting.writes <= len(text) // (1 << 16) + 1
+
 
 VERBS = ("validate", "invariants", "farey-classify", "farey-atlas", "paste", "fiber-sum",
          "destab", "poke", "complement", "plan", "slide")

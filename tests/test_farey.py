@@ -26,7 +26,7 @@ from trisect.farey import (
     triple_kind,
 )
 from trisect.invariants import first_homology
-from trisect.zmatrix import classify_unimodular, determinant, sym_form_invariants
+from trisect.zmatrix import FormClass, classify_unimodular, determinant, sym_form_invariants
 
 
 def F(text):
@@ -291,6 +291,136 @@ class TestEnumeration:
                 inv.rank, inv.signature, inv.parity, inv.det)
             form_kinds.add(cls.form.kind)
         assert form_kinds == {"odd_indefinite", "even_indefinite"}
+
+
+# ---------------------------------------------------------------------------
+# the integer row path against test-local copies of the code it replaced,
+# which compared, hashed and counted Fractions and called dmet per pair
+# ---------------------------------------------------------------------------
+
+def dmet_enumeration(max_den):
+    """`enumerate_triples` as it was, without classifications: one dmet
+    call per pair of the universe, then neighbour-set intersections."""
+    universe = fraction_universe(max_den)
+    n = len(universe)
+    neighbors = [set() for _ in range(n)]
+    for i in range(n):
+        neighbors[i].add(i)
+        for j in range(i + 1, n):
+            if abs(dmet(universe[i], universe[j])) <= 1:
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+    for i in range(n):
+        for j in sorted(neighbors[i]):
+            if j < i:
+                continue
+            for k in sorted(neighbors[i] & neighbors[j]):
+                if k < j:
+                    continue
+                yield FareyTriple(universe[i], universe[j], universe[k])
+
+
+def set_kind(t):
+    """`triple_kind` as it was: dmet on each pair, then a set of fractions."""
+    if any(abs(dmet(u, v)) > 1 for u, v in ((t.x, t.y), (t.x, t.z), (t.y, t.z))):
+        return "Invalid"
+    return {1: "AllEqual", 2: "TwoDistinct", 3: "FareyTriplet"}[len({t.x, t.y, t.z})]
+
+
+def count_split(t):
+    """(lone, repeated) of a two-distinct triple by `list.count`."""
+    fracs = [t.x, t.y, t.z]
+    for f in fracs:
+        if fracs.count(f) == 1:
+            lone = f
+        else:
+            repeated = f
+    return lone, repeated
+
+
+def sorted_corner(x, y, z):
+    a, b, c, d, p, q = x.num, x.den, y.num, y.den, z.num, z.den
+    return (b * p - a * q) * (c * q - d * p) * (b * c - a * d)
+
+
+def count_classify(t):
+    """`classify` as it was: the set kind, the lone fraction by count, and
+    the corner of the triplet sorted as Fractions by (den, num)."""
+    kind = set_kind(t)
+    if kind == "Invalid":
+        return FareyClassification(kind, None, None, None)
+    if kind == "AllEqual":
+        return FareyClassification(kind, SpunLens(t.x.den, t.x.num), None, FormClass("zero"))
+    if kind == "TwoDistinct":
+        lone, repeated = count_split(t)
+        if (lone.den * repeated.den) % 2 == 0:
+            return FareyClassification(kind, S2XS2, ("S4", S2XS2), FormClass("even_indefinite", (1,)))
+        return FareyClassification(kind, S2TWS2, ("S4", S2TWS2), FormClass("odd_indefinite", (1, 1)))
+    if sorted_corner(*sorted(t, key=lambda f: (f.den, f.num))) == 1:
+        return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), FormClass("odd_indefinite", (2, 1)))
+    return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), FormClass("odd_indefinite", (1, 2)))
+
+
+def count_qx(t):
+    """`qx` as it was, with the set kind and the count split."""
+    kind = set_kind(t)
+    if kind == "FareyTriplet":
+        a, b, c, d, p, q = t.x.num, t.x.den, t.y.num, t.y.den, t.z.num, t.z.den
+        off = b * (c * q - d * p) * (b * c - a * d)
+        return [[b * d * (a * d - b * c), -1, off], [-1, 0, 0], [off, 0, sorted_corner(*t)]]
+    if kind == "TwoDistinct":
+        lone, repeated = count_split(t)
+        a, b, c, d = lone.num, lone.den, repeated.num, repeated.den
+        return [[b * d * (a * d - b * c), -1], [-1, 0]]
+    return None
+
+
+def assert_matches_counting_code(t):
+    assert triple_kind(t) == set_kind(t), str(t)
+    assert classify(t) == count_classify(t), str(t)
+    try:
+        form = qx(t)
+    except FormUndefined:
+        form = None
+    assert form == count_qx(t), str(t)
+
+
+@st.composite
+def slope_triples(draw):
+    """Three slopes in any order and with any repeats: 1/0, small ones
+    (often neighbours, often not), wide ones, and a Farey neighbour with
+    both mediants of it."""
+    small = st.builds(Fraction.of, st.integers(-6, 6), st.integers(1, 6))
+    wide = st.builds(Fraction.of, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64))
+    x, y = draw(farey_neighbors())
+    pool = [Fraction(1, 0), x, y, Fraction.of(x.num + y.num, x.den + y.den),
+            Fraction.of(x.num - y.num, x.den - y.den), draw(small), draw(small), draw(wide)]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=3))
+    return FareyTriple(*(pool[i] for i in picks))
+
+
+class TestIntegerRowPath:
+    def test_enumeration_every_cap_to_30(self):
+        for max_den in range(31):
+            rows = list(enumerate_triples(max_den))
+            assert [t for t, _ in rows] == list(dmet_enumeration(max_den)), max_den
+            for t, cls in rows:
+                assert cls == count_classify(t), str(t)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(31, 60))
+    def test_enumeration_random_caps_to_60(self, max_den):
+        assert [t for t, _ in enumerate_triples(max_den)] == list(dmet_enumeration(max_den))
+
+    def test_every_ordered_triple_of_a_small_universe(self):
+        univ = fraction_universe(3)
+        for t in itertools.product(univ, repeat=3):
+            assert_matches_counting_code(FareyTriple(*t))
+
+    @settings(max_examples=400, deadline=None)
+    @given(slope_triples())
+    def test_random_triples(self, t):
+        assert_matches_counting_code(t)
 
 
 class TestHomologyModel:
