@@ -9,10 +9,10 @@ live in the shear blocks, since every rotation [[0,-1],[1,0]] is itself a
 legal SL2 payload.  ShearGlue(f) fixes the third coordinate and acts by f
 on the first two.
 
-Each builder states the composite it is after (m for a general plan,
-1 + A for a log transform, the (m, n) shear for a Luttinger twist) and
-parse_plan states the file's COMPOSITE line; SurgeryPlan construction is
-the one place that composite is checked against the block product.
+A plan holds only its blocks: the composite is computed from them on
+each read, so no builder states it and nothing can make the two disagree.
+The one stated composite is a plan file's COMPOSITE line, which
+parse_plan checks against the block product.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -59,8 +59,8 @@ class PastingInput(Record):
     """Two trisection parameter tuples (TrisectionParams) to glue.
 
     mode is a ClosedPage or a BoundaryCircles; common holds per-sector
-    common-curve counts (None, the default, or three ints >= 0) and only
-    BoundaryCircles consults it.  Construction checks both."""
+    common-curve counts (None, the default, or three ints >= 0), which
+    only BoundaryCircles takes.  Construction checks both."""
     __slots__ = ("left", "right", "mode", "common")
 
     def __init__(self, left: TrisectionParams, right: TrisectionParams,
@@ -73,6 +73,8 @@ class PastingInput(Record):
             if not (isinstance(common, (list, tuple)) and len(common) == 3
                     and all(map(_is_int, common)) and min(common) >= 0):
                 raise DiagramError("common-curve counts must be three ints >= 0")
+            if isinstance(mode, ClosedPage):
+                raise DiagramError("common-curve counts apply only to boundary-circle pasting")
             common = tuple(common)
         self._store(left, right, mode, common)
 
@@ -310,13 +312,14 @@ class RibbonGraph(Record):
 
     def genus_of_closure(self) -> int:
         """Genus of the closed surface obtained by capping the thickened
-        graph's boundary circles; defined for connected graphs."""
+        graph's boundary circles; defined for connected graphs.  The traced
+        faces cap it to a closed orientable surface, V - E + F = 2 - 2g,
+        except a bare vertex: a disk with no darts, so no traced face."""
         if len(self.components()) != 1:
             raise DiagramError("genus of closure defined for connected graphs")
-        chi = self.vertex_count - self.edge_count + len(self.faces())
-        if chi % 2 != 0 or chi > 2:
-            raise DiagramError(f"inconsistent face trace: chi = {chi}")
-        return (2 - chi) // 2
+        if not self.edges:
+            return 0
+        return (2 - self.vertex_count + self.edge_count - len(self.faces())) // 2
 
 
 def shadow_boundary_curves(rg: RibbonGraph) -> Tuple[int, int]:
@@ -435,17 +438,25 @@ _SWAPS = {"tau12": (0, 1), "tau23": (1, 2), "tau31": (0, 2)}
 
 
 class SurgeryPlan(Record):
-    """Blocks plus the composite their builder states; construction
-    raises DiagramError unless it equals the block product.
+    """A tuple of PlanBlocks; construction raises DiagramError for
+    anything else.  The composite, the left-to-right product of the
+    blocks' matrices, is computed on each read and never stored.
 
     The product is built column by column: right multiplication by a
     block swaps two columns (tau12, tau23, tau31), mixes the first two
     (a shear), or does nothing (the identity blocks)."""
-    __slots__ = ("blocks", "composite")
+    __slots__ = ("blocks",)
 
-    def __init__(self, blocks: Tuple[PlanBlock, ...], composite: IntMatrix):
+    def __init__(self, blocks: Tuple[PlanBlock, ...]):
+        if not (isinstance(blocks, tuple) and {PlanBlock}.issuperset(map(type, blocks))):
+            raise DiagramError("plan blocks must be a tuple of PlanBlocks")
+        self._store(blocks)
+
+    @property
+    def composite(self) -> IntMatrix:
+        """The block product, as a new list of three rows."""
         cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        for b in blocks:
+        for b in self.blocks:
             if b.kind == "shear":
                 (p, q), (r, s) = b.shear
                 (x0, x1, x2), (y0, y1, y2) = cols[0], cols[1]
@@ -454,12 +465,7 @@ class SurgeryPlan(Record):
             elif b.kind in _SWAPS:
                 i, j = _SWAPS[b.kind]
                 cols[i], cols[j] = cols[j], cols[i]
-        prod = [list(row) for row in zip(*cols)]
-        if prod != composite:
-            raise DiagramError(
-                f"stated composite {composite} does not match block product {prod}"
-            )
-        self._store(blocks, composite)
+        return [list(row) for row in zip(*cols)]
 
 
 # Blocks realizing each SL3 rotation generator.  The plane rotations embed
@@ -487,7 +493,7 @@ def surgery_plan_general(m: IntMatrix) -> SurgeryPlan:
         else:
             blocks.extend(_GEN_BLOCKS[g.kind])
     blocks.append(TAUEMPTY)
-    return SurgeryPlan(tuple(blocks), [list(row) for row in m])
+    return SurgeryPlan(tuple(blocks))
 
 
 def log_transform_plan(a: Sequence[Sequence[int]]) -> SurgeryPlan:
@@ -500,28 +506,13 @@ def log_transform_plan(a: Sequence[Sequence[int]]) -> SurgeryPlan:
     """
     (a11, a12), (a21, a22) = shear_block(a).shear  # raises NotSL2 on bad input
     jaj = PlanBlock._trusted("shear", ((a22, a21), (a12, a11)))  # det JAJ = det A = 1
-    return SurgeryPlan(
-        (COMPLEMENT, TAU0, TAU31, jaj, TAU31, TAUEMPTY),
-        [[1, 0, 0], [0, a11, a12], [0, a21, a22]],
-    )
+    return SurgeryPlan((COMPLEMENT, TAU0, TAU31, jaj, TAU31, TAUEMPTY))
 
 
 def luttinger_plan(m: int, n: int) -> SurgeryPlan:
     """Plan for the (m, n) torus twist; composite = [[1,0,m],[0,1,n],[0,0,1]]."""
-    return SurgeryPlan(
-        (
-            COMPLEMENT,
-            TAU0,
-            TAU23,
-            shear_block(((1, m), (0, 1))),
-            TAU31,
-            shear_block(((1, n), (0, 1))),
-            TAU31,
-            TAU23,
-            TAUEMPTY,
-        ),
-        [[1, 0, m], [0, 1, n], [0, 0, 1]],
-    )
+    return SurgeryPlan((COMPLEMENT, TAU0, TAU23, shear_block(((1, m), (0, 1))), TAU31,
+                        shear_block(((1, n), (0, 1))), TAU31, TAU23, TAUEMPTY))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +539,8 @@ def serialize_plan(plan: SurgeryPlan) -> str:
 
 
 def parse_plan(text: str) -> SurgeryPlan:
+    """Read serialize_plan's format; the COMPOSITE line must equal the
+    product of the blocks above it."""
     blocks: List[PlanBlock] = []
     # each good stripped block line -> its block, so a repeated line is
     # split, converted and checked once; a bad line raises before it is kept
@@ -588,4 +581,8 @@ def parse_plan(text: str) -> SurgeryPlan:
             raise DiagramError(f"line {lineno}: unknown block {word!r}")
     if stated is None:
         raise DiagramError("plan has no COMPOSITE line")
-    return SurgeryPlan(tuple(blocks), stated)
+    plan = SurgeryPlan(tuple(blocks))
+    prod = plan.composite
+    if prod != stated:
+        raise DiagramError(f"stated composite {stated} does not match block product {prod}")
+    return plan

@@ -319,7 +319,7 @@ def _cmd_plan(args) -> int:
     ]
     _emit(args, text.splitlines(), {
         "blocks": blocks,
-        "composite": [list(r) for r in plan.composite],
+        "composite": plan.composite,
     })
     return 0
 

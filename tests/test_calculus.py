@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -114,6 +116,12 @@ class TestPaste:
         inp = PastingInput(side, side, BoundaryCircles(2), common=[1, 0, 2])
         assert inp == PastingInput(side, side, BoundaryCircles(2), common=(1, 0, 2))
         assert hash(inp) == hash((side, side, BoundaryCircles(2), (1, 0, 2)))
+
+    def test_closed_page_refuses_common_counts(self):
+        closed = parse_params("1;0,0,0")
+        with pytest.raises(DiagramError, match="apply only to boundary-circle pasting"):
+            PastingInput(closed, closed, ClosedPage(0), common=(1, 0, 0))
+        assert paste(PastingInput(closed, closed, ClosedPage(0))) == parse_params("4;0,0,0")
 
     def test_boundary_circles_without_common_leaves_k_unknown(self):
         side = TrisectionParams_like("1;1,1,1;2")
@@ -281,9 +289,15 @@ class TestRibbonGraph:
             RibbonGraph(rotations=((0,),), edges=())
 
     def test_isolated_vertex_is_boundary_parallel(self):
+        # the bare vertex is a disk with one boundary circle; the loop
+        # traces two faces, both essential
         rg = RibbonGraph(rotations=((0, 1), ()), edges=((0, 1),))
-        bp, ess = shadow_boundary_curves(rg)
-        assert bp >= 1
+        assert shadow_boundary_curves(rg) == (1, 2)
+
+    def test_bare_vertex_closes_to_a_sphere(self):
+        rg = RibbonGraph(((),), ())
+        assert rg.faces() == []
+        assert rg.genus_of_closure() == 0
 
     @pytest.mark.parametrize("rotations,edges", [
         (((0,), (1,)), ((0, 1),)),
@@ -300,6 +314,36 @@ class TestRibbonGraph:
         v, e, f = rg.vertex_count, rg.edge_count, len(rg.faces())
         genus = rg.genus_of_closure()
         assert v - e + f == 2 - 2 * genus
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_connected_rotation_systems(self, data):
+        """Edge i joins darts 2i and 2i + 1.  The first v - 1 edges form a
+        spanning tree, the rest join any two vertices (loops included),
+        and each vertex orders its darts at random."""
+        v = data.draw(st.integers(1, 6))
+        extra = data.draw(st.integers(0 if v > 1 else 1, 6))
+        ends = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, v)]
+        ends += [tuple(data.draw(st.lists(st.integers(0, v - 1), min_size=2, max_size=2)))
+                 for _ in range(extra)]
+        darts = [[] for _ in range(v)]
+        for i, (x, y) in enumerate(ends):
+            darts[x].append(2 * i)
+            darts[y].append(2 * i + 1)
+        rotations = tuple(tuple(data.draw(st.permutations(ds))) for ds in darts)
+        edges = tuple((2 * i, 2 * i + 1) for i in range(len(ends)))
+        rg = RibbonGraph(rotations, edges)
+        assert len(rg.components()) == 1
+        e, f = len(edges), len(rg.faces())
+        genus = rg.genus_of_closure()
+        assert v - e + f == 2 - 2 * genus
+        assert 0 <= genus <= (e - v + 1) // 2  # f >= 1
+
+
+def with_composite(text, m):
+    """A plan text with its COMPOSITE line replaced by one stating m."""
+    blocks = text.splitlines()[:-1]
+    return "\n".join(blocks + ["COMPOSITE " + " ".join(str(x) for row in m for x in row)]) + "\n"
 
 
 SL2_GENS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0))]
@@ -386,10 +430,15 @@ class TestPlans:
             surgery_plan_general([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_composite_is_block_product(self):
-        # constructor re-checks the composite; corrupting it must fail
+        # the composite is the product of the blocks' matrices, and a file
+        # whose COMPOSITE line states another matrix is refused
         plan = luttinger_plan(1, 2)
+        prod = identity(3)
+        for b in plan.blocks:
+            prod = mat_mul(prod, block_matrix(b))
+        assert plan.composite == prod
         with pytest.raises(DiagramError):
-            SurgeryPlan(plan.blocks, identity(3))
+            parse_plan(with_composite(serialize_plan(plan), identity(3)))
 
     def test_shear_block_rejects(self):
         with pytest.raises(NotSL2):
@@ -398,7 +447,7 @@ class TestPlans:
     def test_mismatch_message_names_both_matrices(self):
         plan = luttinger_plan(1, 2)
         with pytest.raises(DiagramError) as err:
-            SurgeryPlan(plan.blocks, identity(3))
+            parse_plan(with_composite(serialize_plan(plan), identity(3)))
         assert str(identity(3)) in str(err.value)
         assert str([[1, 0, 1], [0, 1, 2], [0, 0, 1]]) in str(err.value)
 
@@ -468,13 +517,13 @@ class TestBlockProduct:
         expect = identity(3)
         for b in blocks:
             expect = mat_mul(expect, block_matrix(b))
-        assert SurgeryPlan(tuple(blocks), expect).composite == expect
+        plan = SurgeryPlan(tuple(blocks))
+        assert plan.composite == expect
         wrong = [row[:] for row in expect]
         wrong[cell // 3][cell % 3] += delta
         with pytest.raises(DiagramError) as err:
-            SurgeryPlan(tuple(blocks), wrong)
-        assert str(wrong) in str(err.value)
-        assert str(expect) in str(err.value)
+            parse_plan(with_composite(serialize_plan(plan), wrong))
+        assert str(err.value) == f"stated composite {wrong} does not match block product {expect}"
 
     def test_unit_shears_of_general_plan_are_sl2(self):
         m = [[1, 5, 0], [0, 1, 0], [0, 0, 1]]
@@ -490,7 +539,8 @@ _REFERENCE_TOKENS = {"COMPLEMENT": "complement", "TAU0": "tau0", "TAU12": "tau12
 
 def reference_parse_plan(text):
     """The plan parser as first written: every line split, converted and
-    checked, every block built anew."""
+    checked, every block built anew, and the stated composite compared
+    with the plain matrix product of the blocks."""
     blocks = []
     stated = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -525,7 +575,12 @@ def reference_parse_plan(text):
             raise DiagramError(f"line {lineno}: unknown block {word!r}")
     if stated is None:
         raise DiagramError("plan has no COMPOSITE line")
-    return SurgeryPlan(tuple(blocks), stated)
+    prod = identity(3)
+    for b in blocks:
+        prod = mat_mul(prod, block_matrix(b))
+    if prod != stated:
+        raise DiagramError(f"stated composite {stated} does not match block product {prod}")
+    return SurgeryPlan(tuple(blocks))
 
 
 def parse_outcome(parse, text):
@@ -678,7 +733,8 @@ class TestPlanBlockContract:
         composite = identity(3)
         for b in blocks:
             composite = mat_mul(composite, block_matrix(b))
-        plan = SurgeryPlan(tuple(blocks), composite)
+        plan = SurgeryPlan(tuple(blocks))
+        assert plan.composite == composite
         assert parse_plan(serialize_plan(plan)) == plan
 
     @settings(max_examples=60, deadline=None)
@@ -701,3 +757,17 @@ class TestPlanBlockContract:
         with pytest.raises(NotSL2) as err:
             PlanBlock("shear", shear)
         assert str(err.value) == message
+
+
+class TestFrozenPlan:
+    """A plan is its blocks: the composite is derived on each read, so a
+    plan cannot disagree with its file, and it hashes and copies."""
+
+    def test_mutating_a_read_of_the_composite_changes_nothing(self):
+        plan = luttinger_plan(2, 3)
+        plan.composite[0][2] = 99
+        assert plan.composite == [[1, 0, 2], [0, 1, 3], [0, 0, 1]]
+        assert parse_plan(serialize_plan(plan)) == plan
+        assert hash(plan) == hash(luttinger_plan(2, 3))
+        assert copy.deepcopy(plan) == plan
+        assert pickle.loads(pickle.dumps(plan)) == plan

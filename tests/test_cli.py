@@ -142,6 +142,13 @@ class TestVerbs:
         assert code == 0
         assert "genus=4" in out or out.strip().startswith("4;")
 
+    def test_closed_page_refuses_common_counts(self, run):
+        # paste never reads the counts on a closed page, so they are refused
+        code, out, err = run("paste", "--closed-page", "0", "--common=1,0,0",
+                             "1;0,0,0", "1;0,0,0")
+        assert (code, out) == (1, "")
+        assert err == "error: common-curve counts apply only to boundary-circle pasting\n"
+
     def test_fiber_sum(self, run):
         code, out, _ = run("fiber-sum", "21;6,6,11", "21;6,6,11",
                            "--bridge", "5", "--common", "1,1,1")

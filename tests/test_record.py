@@ -16,6 +16,7 @@ from trisect.calculus import (
     PlanBlock,
     RibbonGraph,
     SurgeryPlan,
+    parse_plan,
 )
 from trisect.diagram import (
     BridgeData,
@@ -36,7 +37,6 @@ from trisect.zmatrix import (
     FormInvariants,
     Gen,
     SL3Word,
-    identity,
 )
 
 A = CurveSystem("alpha", ((1, 0),))
@@ -59,12 +59,13 @@ CASES = [
     (ClosedPage, ("page_genus",), (2,)),
     (BoundaryCircles, ("circles",), (2,)),
     (PastingInput, ("left", "right", "mode", "common"),
-     (TrisectionParams(1, (0, 0, 0)), TrisectionParams(2, (1, 1, 1)), ClosedPage(1), (1, 1, 1))),
+     (TrisectionParams(1, (0, 0, 0)), TrisectionParams(2, (1, 1, 1)), BoundaryCircles(1),
+      (1, 1, 1))),
     (ComplementResult, ("params", "punctures", "curves_added", "closure_genus"),
      (TrisectionParams(2, None, 3), 3, (1, 1, 1), 4)),
     (RibbonGraph, ("rotations", "edges"), (((0, 1),), ((0, 1),))),
     (PlanBlock, ("kind", "shear"), ("shear", ((1, 2), (0, 1)))),
-    (SurgeryPlan, ("blocks", "composite"), ((SHEAR,), [[1, 2, 0], [0, 1, 0], [0, 0, 1]])),
+    (SurgeryPlan, ("blocks",), ((SHEAR, TAU12),)),
     (CokernelInvariants, ("free_rank", "torsion"), (1, (2, 4))),
     (FormInvariants, ("rank", "signature", "parity", "det"), (3, 1, "Odd", -1)),
     (FormClass, ("kind", "params"), ("odd_indefinite", (2, 1))),
@@ -92,8 +93,6 @@ DEFAULTS = {
     Gen: (("s12",), {"k": 0}),
     SlideMove: (("ShrinkA2",), {"arg": None}),
 }
-
-UNHASHABLE = (SurgeryPlan,)  # its composite is a list
 
 
 def fields_of(x, names):
@@ -137,14 +136,8 @@ class TestRecord:
 
     def test_hash_is_the_field_tuple_hash(self, cls, names, values):
         x = cls(*values)
-        if cls in UNHASHABLE:
-            with pytest.raises(TypeError):
-                hash(values)
-            with pytest.raises(TypeError):
-                hash(x)
-        else:
-            assert hash(x) == hash(values)
-            assert hash(x) == hash(cls(*values))
+        assert hash(x) == hash(values)
+        assert hash(x) == hash(cls(*values))
 
     def test_repr(self, cls, names, values):
         body = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
@@ -320,6 +313,8 @@ BAD = [
                  "common-curve counts must be three ints >= 0", id="common counts: negative"),
     pytest.param(lambda: PastingInput(P1, P1, BoundaryCircles(1), (1, 1)), DiagramError,
                  "common-curve counts must be three ints >= 0", id="common counts: two"),
+    (lambda: PastingInput(P1, P1, ClosedPage(0), (1, 0, 0)), DiagramError,
+     "common-curve counts apply only to boundary-circle pasting"),
     (lambda: RibbonGraph(((0, 0),), ()), DiagramError, "dart 0 appears at two rotation slots"),
     (lambda: RibbonGraph(((0,),), ((0, 0),)), DiagramError,
      "edge (0,0) must join two distinct darts"),
@@ -332,9 +327,14 @@ BAD = [
     (lambda: PlanBlock("shear"), DiagramError, "exactly the shear blocks carry a 2x2 matrix"),
     (lambda: PlanBlock("tau0", ((1, 0), (0, 1))), DiagramError,
      "exactly the shear blocks carry a 2x2 matrix"),
-    (lambda: SurgeryPlan((TAU12,), identity(3)), DiagramError,
+    # the one stated composite is a plan file's COMPOSITE line
+    (lambda: parse_plan("TAU12\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n"), DiagramError,
      "stated composite [[1, 0, 0], [0, 1, 0], [0, 0, 1]] does not match block product "
      "[[0, 1, 0], [1, 0, 0], [0, 0, 1]]"),
+    pytest.param(lambda: SurgeryPlan([TAU12]), DiagramError,
+                 "plan blocks must be a tuple of PlanBlocks", id="plan blocks: list"),
+    pytest.param(lambda: SurgeryPlan((TAU12, "tau0")), DiagramError,
+                 "plan blocks must be a tuple of PlanBlocks", id="plan blocks: str entry"),
     (lambda: SlideState("MX", "", "", 0, 0, (1, 0)), MalformedWord,
      "word 'MX' contains letters outside the alphabet"),
     (lambda: SlideState("", "", "μ", 0, 0, (1, 0)), MalformedWord,
