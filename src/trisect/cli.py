@@ -15,6 +15,7 @@ given input.
 import argparse
 import io
 import os
+import re  # loaded by argparse already
 import sys
 from typing import List, Optional
 
@@ -376,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument("z")
     p.add_argument("--qx", action="store_true", help="also print the intersection form")
+    # argparse takes -1 and -1.5 for numbers, not options, but -1/1 for an
+    # option; here a dash and a digit start a slope, as no option does
+    p._negative_number_matcher = re.compile(r"-\d")
     p.set_defaults(fn=_cmd_farey_classify)
 
     p = sub.add_parser("farey-atlas", parents=[common],

@@ -66,7 +66,9 @@ class FareyTriple(Record):
         return iter((self.x, self.y, self.z))
 
     def __str__(self) -> str:
-        return f"{self.x} {self.y} {self.z}"
+        # Fraction.__str__ of each slope, in one format
+        x, y, z = self.x, self.y, self.z
+        return f"{x.num}/{x.den} {y.num}/{y.den} {z.num}/{z.den}"
 
 
 class FareyClassification(Record):
@@ -74,6 +76,14 @@ class FareyClassification(Record):
     refined ((T, S) with manifold = T # S, or None) and form (a FormClass
     or None)."""
     __slots__ = ("kind", "manifold", "refined", "form")
+
+
+# the classifications of the two triplet signs and the two two-distinct
+# parities; records are immutable, so `classify` returns these shared values
+_TRIPLET_PLUS = FareyClassification(KIND_TRIPLET, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
+_TRIPLET_MINUS = FareyClassification(KIND_TRIPLET, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
+_TWO_EVEN = FareyClassification(KIND_TWO_DISTINCT, S2XS2, ("S4", S2XS2), _EVEN_1)
+_TWO_ODD = FareyClassification(KIND_TWO_DISTINCT, S2TWS2, ("S4", S2TWS2), _ODD_11)
 
 
 def _distances(t: FareyTriple) -> Tuple[int, int, int]:
@@ -148,6 +158,12 @@ def classify(t: FareyTriple) -> FareyClassification:
     fractions take the parity of the product of their denominators, and a
     triplet the corner C = qx[2][2] = -det qx of its (den, num)-sorted
     order (C = 1: odd_indefinite (2, 1); C = -1: (1, 2)).
+
+    A triplet or a two-distinct triple gets one of four shared
+    classifications, the same object on every call: records are
+    immutable, so no caller can change it.  Only an all-equal triple
+    (whose SpunLens depends on its slope) and an invalid one get a new
+    record.
     """
     # the distances are read inline, not through _distances: this is the
     # atlas row path, and the call made classify 8-14 % slower by median
@@ -165,13 +181,13 @@ def classify(t: FareyTriple) -> FareyClassification:
         # the sign of the sorting permutation.
         odd = ((b, a) > (d, c)) ^ ((b, a) > (q, p)) ^ ((d, c) > (q, p))
         if (xy * xz * yz == 1) != odd:
-            return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
-        return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
+            return _TRIPLET_PLUS
+        return _TRIPLET_MINUS
     if kind == KIND_TWO_DISTINCT:
         # x = y leaves x and z distinct; x = z or y = z leaves x and y
         if (b * (q if not xy else d)) % 2 == 0:
-            return FareyClassification(kind, S2XS2, ("S4", S2XS2), _EVEN_1)
-        return FareyClassification(kind, S2TWS2, ("S4", S2TWS2), _ODD_11)
+            return _TWO_EVEN
+        return _TWO_ODD
     if kind == KIND_ALL_EQUAL:  # fraction a/b spins L(b, a)
         return FareyClassification(kind, SpunLens(b, a), None, _ZERO)
     return FareyClassification(kind, None, None, None)
@@ -236,37 +252,63 @@ def enumerate_triples(max_den: int) -> Iterator[Tuple[FareyTriple, FareyClassifi
                     yield t, classify(t)
 
 
-def atlas_rows(max_den: int) -> Iterator[Dict[str, object]]:
-    """CSV-ready rows for every valid triple: triple, kind, manifold,
-    refined name, and the form invariants (the all-equal empty form
-    reports rank 0, signature 0, parity Even, det 1).
+def _row(cls: FareyClassification) -> Dict[str, object]:
+    """The atlas row of a valid triple's classification, with the triple
+    column blank.
 
     Nothing is eliminated: `classify` reads the form class off integers
     (the det -C argument of the module docstring), and the invariants are
     read off that class: odd_indefinite (p, m) has rank p + m, signature
     p - m, parity Odd and det (-1)^m; even_indefinite (h,) has rank 2h,
-    signature 0, parity Even and det (-1)^h.  Triplets and two-distinct
-    triples have no other form classes."""
+    signature 0, parity Even and det (-1)^h; the empty form of an
+    all-equal triple has rank 0, signature 0, parity Even and det 1.
+    Triplets and two-distinct triples have no other form classes."""
+    form = cls.form
+    if cls.kind == KIND_ALL_EQUAL:
+        rank, signature, parity, det = 0, 0, "Even", 1
+    elif form.kind == "odd_indefinite":
+        p, m = form.params
+        rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
+    else:
+        (h,) = form.params  # even_indefinite
+        rank, signature, parity, det = 2 * h, 0, "Even", (-1) ** h
+    return {
+        "triple": "",
+        "kind": cls.kind,
+        "manifold": str(cls.manifold),
+        "refined": f"{cls.refined[0]}#{cls.refined[1]}" if cls.refined else "",
+        "rank": rank,
+        "signature": signature,
+        "parity": parity,
+        "det": det,
+    }
+
+
+# the rows of the four shared classifications, by identity; an atlas row
+# of one of them is a copy with its triple filled in
+_SHARED_ROWS = {id(c): _row(c) for c in (_TRIPLET_PLUS, _TRIPLET_MINUS, _TWO_EVEN, _TWO_ODD)}
+
+
+def atlas_rows(max_den: int) -> Iterator[Dict[str, object]]:
+    """CSV-ready rows for every valid triple, in `enumerate_triples`
+    order, each a new dict with these columns in this order:
+    - triple: the three slopes, "x y z";
+    - kind: AllEqual, TwoDistinct or FareyTriplet;
+    - manifold: the closed 4-manifold, SpunLens(p,q) for an all-equal
+      triple;
+    - refined: the manifold as T#S, empty for an all-equal triple;
+    - rank, signature, parity, det: the invariants of the form class of
+      `qx`, read off by `_row`.
+    The last four describe qx, not the manifold's intersection form.  An
+    all-equal triple has no qx, so its row reports the empty form (rank
+    0) and not b2: 1/0 1/0 1/0 is SpunLens(0,1), the spin of S1xS2,
+    whose b2 is 2."""
+    shared = _SHARED_ROWS
     for t, cls in enumerate_triples(max_den):
-        form = cls.form
-        if cls.kind == KIND_ALL_EQUAL:
-            rank, signature, parity, det = 0, 0, "Even", 1
-        elif form.kind == "odd_indefinite":
-            p, m = form.params
-            rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
-        else:
-            (h,) = form.params  # even_indefinite
-            rank, signature, parity, det = 2 * h, 0, "Even", (-1) ** h
-        yield {
-            "triple": str(t),
-            "kind": cls.kind,
-            "manifold": str(cls.manifold),
-            "refined": f"{cls.refined[0]}#{cls.refined[1]}" if cls.refined else "",
-            "rank": rank,
-            "signature": signature,
-            "parity": parity,
-            "det": det,
-        }
+        row = shared.get(id(cls))
+        row = row.copy() if row is not None else _row(cls)
+        row["triple"] = str(t)
+        yield row
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,49 @@ class TestExamples:
         assert out.splitlines()[-1] == "COMPOSITE 1 0 0 0 1 0 0 0 1"
 
 
+class TestNegativeSlopes:
+    """farey-classify takes -1/1 as a slope, as it takes it after `--`."""
+
+    @pytest.mark.parametrize("slopes", [
+        ("-1/1", "0/1", "1/0"),
+        ("0/1", "-1/1", "1/0"),
+        ("1/0", "0/1", "-1/1"),
+        ("-1/1", "-1/2", "-2/3"),
+        ("-1/1", "-1/1", "0/1"),
+        ("-1/-2", "1/1", "1/0"),
+        ("-3/1", "-3/1", "-3/1"),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--qx",), ("--json", "--qx")])
+    def test_same_as_after_double_dash(self, run, slopes, flags):
+        dashed = run("farey-classify", *flags, "--", *slopes)
+        assert run("farey-classify", *slopes, *flags) == dashed
+        assert run("farey-classify", *flags, *slopes) == dashed
+        assert run("farey-classify", slopes[0], *flags, *slopes[1:]) == dashed
+
+    def test_example(self, run):
+        assert run("farey-classify", "-1/1", "0/1", "1/0") == (0, (
+            "kind: FareyTriplet\n"
+            "manifold: CP2#CP2bar#CP2bar\n"
+            "refined: CP2bar#S2x~S2\n"
+            "form: odd_indefinite (1, 2)\n"), "")
+
+    @pytest.mark.parametrize("slopes", [
+        ("-x/2", "0/1", "1/0"),
+        ("-1/x", "0/1", "1/0"),
+        ("0/1", "-", "1/0"),
+        ("-1/1", "0/1"),
+        ("-1/1", "0/1", "1/0", "-1/2"),
+    ])
+    def test_malformed_is_1(self, run, slopes):
+        code, out, err = run("farey-classify", *slopes)
+        assert code == 1 and out == "" and one_error_line(err)
+
+    def test_other_verbs_keep_their_parsing(self, run):
+        code, out, err = run("paste", "--common", "-1,0,0", "1;0,0,0", "1;0,0,0")
+        assert code == 1 and out == "" and one_error_line(err)
+        assert "--common" in err
+
+
 class TestExitCodes:
     def test_invalid_fraction_is_1(self, run):
         code, _, err = run("farey-classify", "1/1", "bogus", "2/3")

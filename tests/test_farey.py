@@ -423,6 +423,102 @@ class TestIntegerRowPath:
         assert_matches_counting_code(t)
 
 
+# ---------------------------------------------------------------------------
+# atlas rows from shared classifications against a test-local copy of the
+# row code they replaced, which built every column of every row afresh
+# ---------------------------------------------------------------------------
+
+def fresh_atlas_rows(max_den):
+    """`atlas_rows` as it was: a new classification per row, the form
+    invariants derived per row, and the triple through Fraction.__str__."""
+    for t, _ in enumerate_triples(max_den):
+        cls = count_classify(t)
+        form = cls.form
+        if cls.kind == "AllEqual":
+            rank, signature, parity, det = 0, 0, "Even", 1
+        elif form.kind == "odd_indefinite":
+            p, m = form.params
+            rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
+        else:
+            (h,) = form.params
+            rank, signature, parity, det = 2 * h, 0, "Even", (-1) ** h
+        yield {
+            "triple": " ".join(map(str, t)),
+            "kind": cls.kind,
+            "manifold": str(cls.manifold),
+            "refined": f"{cls.refined[0]}#{cls.refined[1]}" if cls.refined else "",
+            "rank": rank,
+            "signature": signature,
+            "parity": parity,
+            "det": det,
+        }
+
+
+def assert_rows_match_fresh_rows(max_den):
+    rows, fresh = list(atlas_rows(max_den)), list(fresh_atlas_rows(max_den))
+    assert rows == fresh, max_den
+    # --json writes the keys in dict order
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in fresh], max_den
+
+
+slopes = st.one_of(
+    st.just(Fraction(1, 0)),
+    st.builds(Fraction.of, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70)),
+    st.builds(Fraction.of, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+class TestSharedRows:
+    def test_every_cap_to_20(self):
+        for max_den in range(21):
+            assert_rows_match_fresh_rows(max_den)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(21, 40))
+    def test_random_caps_to_40(self, max_den):
+        assert_rows_match_fresh_rows(max_den)
+
+    def test_changing_a_row_changes_no_later_row(self):
+        seen = []
+        for row in atlas_rows(8):
+            seen.append(dict(row))
+            for key in row:
+                row[key] = None
+            row["extra"] = 1
+        assert seen == list(fresh_atlas_rows(8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(slopes, slopes, slopes)
+    def test_triple_text_is_fraction_text(self, x, y, z):
+        t = FareyTriple(x, y, z)
+        assert str(t) == " ".join(map(str, t))
+
+    def test_triple_text_examples(self):
+        assert str(T("1/0", "-1/1", "0/1")) == "1/0 -1/1 0/1"
+        wide = Fraction(-(2 ** 65) - 1, 2 ** 64)
+        assert str(FareyTriple(wide, wide, Fraction(1, 0))) == (
+            f"-{2 ** 65 + 1}/{2 ** 64} -{2 ** 65 + 1}/{2 ** 64} 1/0")
+
+    @pytest.mark.parametrize("t", [
+        ("1/1", "1/2", "2/3"),   # CP2#CP2bar#CP2bar
+        ("1/2", "1/1", "2/3"),   # CP2#CP2#CP2bar
+        ("1/1", "1/1", "1/2"),   # S2xS2
+        ("1/1", "1/1", "0/1"),   # S2x~S2
+    ])
+    def test_shared_classifications_are_immutable(self, t):
+        cls = classify(T(*t))
+        assert classify(T(*reversed(t))) is cls
+        before = (cls.kind, cls.manifold, cls.refined, cls.form)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(cls, name, None)
+            with pytest.raises(AttributeError):
+                delattr(cls, name)
+        with pytest.raises(AttributeError):
+            cls.form.kind = "zero"
+        assert (cls.kind, cls.manifold, cls.refined, cls.form) == before
+
+
 class TestHomologyModel:
     def test_invalid_triple_rejected(self):
         with pytest.raises(NotNeighbors):
