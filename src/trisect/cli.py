@@ -206,13 +206,14 @@ def _cmd_farey_atlas(args) -> int:
     def write_csv(fh) -> int:
         # rows go out in blocks of about 64 kB as they are produced, not in
         # one write (a syscall, on an unbuffered stdout) each; returns the
-        # row count
+        # row count.  atlas_rows gives its keys in ATLAS_COLUMNS order, so
+        # the values are the columns
         block = io.StringIO()
-        writer = csv.DictWriter(block, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(block, lineterminator="\n")
+        writer.writerow(ATLAS_COLUMNS)
         count = 0
         for row in atlas_rows(max_den):
-            writer.writerow(row)
+            writer.writerow(row.values())
             count += 1
             if block.tell() >= 1 << 16:
                 fh.write(block.getvalue())

@@ -8,7 +8,9 @@ symmetric form of the triple (three distinct fractions), a parity rule
 (two distinct), or a spun lens space (all equal).  Fractions are kept
 reduced with den >= 0, so two are equal exactly when their distance is 0:
 the kind is read off the three distances, and no fraction is compared or
-hashed.
+hashed.  One rule on the six integers, `_class_of`, classifies a triple;
+`classify` reads a FareyTriple into it, and `atlas_rows` calls it on the
+universe's (num, den) pairs, with no record built per row.
 
 Classification runs no elimination.  Indefinite unimodular forms are fixed
 by rank, signature and parity (Serre, A Course in Arithmetic, ch. V).
@@ -23,7 +25,7 @@ det +1 (C = -1) two, odd_indefinite (1, 2).  `zmatrix.classify_unimodular`
 of `qx` is the reference.
 """
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ._record import Record
 from .diagram import CurveSystem, Fraction, StarDiagram, dmet
@@ -78,43 +80,58 @@ class FareyClassification(Record):
     __slots__ = ("kind", "manifold", "refined", "form")
 
 
-# the classifications of the two triplet signs and the two two-distinct
-# parities; records are immutable, so `classify` returns these shared values
+# the classifications of the two triplet signs, the two two-distinct
+# parities and every invalid triple; records are immutable, so `classify`
+# returns these shared values
 _TRIPLET_PLUS = FareyClassification(KIND_TRIPLET, CP2_PLUS, ("CP2", S2TWS2), _ODD_21)
 _TRIPLET_MINUS = FareyClassification(KIND_TRIPLET, CP2_MINUS, ("CP2bar", S2TWS2), _ODD_12)
 _TWO_EVEN = FareyClassification(KIND_TWO_DISTINCT, S2XS2, ("S4", S2XS2), _EVEN_1)
 _TWO_ODD = FareyClassification(KIND_TWO_DISTINCT, S2TWS2, ("S4", S2TWS2), _ODD_11)
+_INVALID = FareyClassification(KIND_INVALID, None, None, None)
 
 
-def _distances(t: FareyTriple) -> Tuple[int, int, int]:
-    """Farey distances dmet(x, y), dmet(x, z), dmet(y, z) of the triple."""
-    a, b = t.x.num, t.x.den
-    c, d = t.y.num, t.y.den
-    p, q = t.z.num, t.z.den
-    return a * d - b * c, a * q - b * p, c * q - d * p
+def _class_of(a: int, b: int, c: int, d: int, p: int, q: int) -> Optional[FareyClassification]:
+    """The shared classification of the reduced fractions a/b, c/d, p/q
+    (b, d, q >= 0), or None when all three are equal.
 
-
-def _kind(xy: int, xz: int, yz: int) -> str:
-    """Kind of a triple from its three Farey distances.
-
-    Canonical reduced fractions are equal exactly when their distance is
-    0, and equality is transitive, so a triple has 3, 1 or no zero
-    distances: all equal, two distinct, or three distinct.
+    Everything is read off the three Farey distances, with no elimination
+    and no comparison of fractions, by the argument of the module
+    docstring.  Canonical reduced fractions are equal exactly when their
+    distance is 0, and equality is transitive, so a valid triple has 3, 1
+    or no zero distances: all equal, two distinct, or three distinct.  Two
+    distinct fractions take the parity of the product of their
+    denominators, and a triplet the corner C = qx[2][2] = -det qx of its
+    (den, num)-sorted order (C = 1: odd_indefinite (2, 1); C = -1:
+    (1, 2)).
     """
+    xy, xz, yz = a * d - b * c, a * q - b * p, c * q - d * p
     if not (-1 <= xy <= 1 and -1 <= xz <= 1 and -1 <= yz <= 1):
-        return KIND_INVALID
+        return _INVALID
     if xy and xz and yz:
-        return KIND_TRIPLET
+        # C = xy * xz * yz, and each distance is alternating, so C changes
+        # sign under every transposition.  An odd permutation of the
+        # triple reverses orientation and flips the signature of qx, so
+        # the (den, num)-sorted order is canonical: its corner is C times
+        # the sign of the sorting permutation.
+        odd = ((b, a) > (d, c)) ^ ((b, a) > (q, p)) ^ ((d, c) > (q, p))
+        return _TRIPLET_PLUS if (xy * xz * yz == 1) != odd else _TRIPLET_MINUS
     if xy or xz:
-        return KIND_TWO_DISTINCT
-    return KIND_ALL_EQUAL
+        # x = y leaves x and z distinct; x = z or y = z leaves x and y
+        return _TWO_EVEN if (b * (q if not xy else d)) % 2 == 0 else _TWO_ODD
+    return None
+
+
+def _class_of_triple(t: FareyTriple) -> Optional[FareyClassification]:
+    x, y, z = t.x, t.y, t.z
+    return _class_of(x.num, x.den, y.num, y.den, z.num, z.den)
 
 
 def triple_kind(t: FareyTriple) -> str:
     """Invalid when two slopes are more than one apart; otherwise the
     number of zero Farey distances (3, 1 or 0) gives AllEqual,
     TwoDistinct or FareyTriplet."""
-    return _kind(*_distances(t))
+    cls = _class_of_triple(t)
+    return KIND_ALL_EQUAL if cls is None else cls.kind
 
 
 def qx(t: FareyTriple) -> IntMatrix:
@@ -131,9 +148,10 @@ def qx(t: FareyTriple) -> IntMatrix:
     and the entries are products of the three distances
     xy = ad - bc, xz = aq - bp, yz = cq - dp and the denominators.
     """
-    xy, xz, yz = _distances(t)
-    kind = _kind(xy, xz, yz)
-    b, d, q = t.x.den, t.y.den, t.z.den
+    kind = triple_kind(t)
+    x, y, z = t.x, t.y, t.z
+    b, d, q = x.den, y.den, z.den
+    xy, xz, yz = x.num * d - b * y.num, x.num * q - b * z.num, y.num * q - d * z.num
     if kind == KIND_TRIPLET:
         off = -b * yz * xy
         return [[b * d * xy, -1, off], [-1, 0, 0], [off, 0, xy * xz * yz]]
@@ -150,47 +168,18 @@ def qx(t: FareyTriple) -> IntMatrix:
 
 
 def classify(t: FareyTriple) -> FareyClassification:
-    """Closed 4-manifold of the triple per the Farey trichotomy.
+    """Closed 4-manifold of the triple per the Farey trichotomy, by the
+    rule of `_class_of`.
 
-    The kind and the form class are read off the three Farey distances,
-    with no elimination and no comparison of fractions, by the argument of
-    the module docstring: the zero distances give the kind, two distinct
-    fractions take the parity of the product of their denominators, and a
-    triplet the corner C = qx[2][2] = -det qx of its (den, num)-sorted
-    order (C = 1: odd_indefinite (2, 1); C = -1: (1, 2)).
-
-    A triplet or a two-distinct triple gets one of four shared
-    classifications, the same object on every call: records are
-    immutable, so no caller can change it.  Only an all-equal triple
-    (whose SpunLens depends on its slope) and an invalid one get a new
-    record.
+    A triplet, a two-distinct triple or an invalid one gets one of five
+    shared classifications, the same object on every call: records are
+    immutable, so no caller can change it.  Only an all-equal triple,
+    whose SpunLens depends on its slope, gets a new record.
     """
-    # the distances are read inline, not through _distances: this is the
-    # atlas row path, and the call made classify 8-14 % slower by median
-    # over the 6,664 rows of max_den 30
-    a, b = t.x.num, t.x.den
-    c, d = t.y.num, t.y.den
-    p, q = t.z.num, t.z.den
-    xy, xz, yz = a * d - b * c, a * q - b * p, c * q - d * p
-    kind = _kind(xy, xz, yz)
-    if kind == KIND_TRIPLET:
-        # C = xy * xz * yz, and each distance is alternating, so C changes
-        # sign under every transposition.  An odd permutation of the
-        # triple reverses orientation and flips the signature of qx, so
-        # the (den, num)-sorted order is canonical: its corner is C times
-        # the sign of the sorting permutation.
-        odd = ((b, a) > (d, c)) ^ ((b, a) > (q, p)) ^ ((d, c) > (q, p))
-        if (xy * xz * yz == 1) != odd:
-            return _TRIPLET_PLUS
-        return _TRIPLET_MINUS
-    if kind == KIND_TWO_DISTINCT:
-        # x = y leaves x and z distinct; x = z or y = z leaves x and y
-        if (b * (q if not xy else d)) % 2 == 0:
-            return _TWO_EVEN
-        return _TWO_ODD
-    if kind == KIND_ALL_EQUAL:  # fraction a/b spins L(b, a)
-        return FareyClassification(kind, SpunLens(b, a), None, _ZERO)
-    return FareyClassification(kind, None, None, None)
+    cls = _class_of_triple(t)
+    if cls is None:  # fraction a/b spins L(b, a)
+        return FareyClassification(KIND_ALL_EQUAL, SpunLens(t.x.den, t.x.num), None, _ZERO)
+    return cls
 
 
 def mediants(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
@@ -203,6 +192,17 @@ def mediants(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
     return plus, minus
 
 
+def _slopes(max_den: int) -> List[Tuple[int, int]]:
+    """`fraction_universe(max_den)` as (num, den) int pairs."""
+    from math import gcd  # loaded already, by diagram
+
+    if max_den < 0:
+        raise NotNeighbors("max_den must be >= 0")
+    window = range(-max_den, max_den + 1)
+    return [(1, 0)] + [(num, den) for den in range(1, max_den + 1)
+                       for num in window if gcd(num, den) == 1]
+
+
 def fraction_universe(max_den: int) -> List[Fraction]:
     """All reduced fractions with den <= max_den and |num| <= max_den,
     plus the formal 1/0; sorted by (den, num).
@@ -211,28 +211,18 @@ def fraction_universe(max_den: int) -> List[Fraction]:
     by its denominator preserves all Farey distances, so an unbounded
     window would repeat the same triples forever.
     """
-    if max_den < 0:
-        raise NotNeighbors("max_den must be >= 0")
-    out = [Fraction(1, 0)]
-    for den in range(1, max_den + 1):
-        for num in range(-max_den, max_den + 1):
-            f = Fraction.of(num, den)
-            if f.den == den:  # already reduced with this denominator
-                out.append(f)
-    return out
+    return [Fraction(num, den) for num, den in _slopes(max_den)]
 
 
-def enumerate_triples(max_den: int) -> Iterator[Tuple[FareyTriple, FareyClassification]]:
-    """All valid triples over fraction_universe(max_den), one ordered
-    representative per multiset (sorted by (den, num)), with
-    classifications.
+def _triangles(slopes: List[Tuple[int, int]]) -> Iterator[Tuple[int, int, int]]:
+    """Indices (i, j, k) of every valid triple of the distinct reduced
+    fractions `slopes`, as (num, den) pairs: i <= j <= k, in lexicographic
+    order.
 
-    Every pair of the universe is tested once, on plain integers: a/b and
-    c/d are joined when |ad - bc| <= 1 (distance 0 only for a fraction and
-    itself).  The triples are then i <= j <= k with j and k joined to i
-    and k joined to j, in lexicographic order."""
-    universe = fraction_universe(max_den)
-    slopes = [(f.num, f.den) for f in universe]
+    Every pair is tested once, on plain integers: a/b and c/d are joined
+    when |ad - bc| <= 1 (distance 0 only for a fraction and itself).  The
+    triples are then i <= j <= k with j and k joined to i and k joined
+    to j."""
     n = len(slopes)
     # later[i]: i and its Farey neighbours j > i, ascending
     later: List[List[int]] = []
@@ -248,25 +238,30 @@ def enumerate_triples(max_den: int) -> Iterator[Tuple[FareyTriple, FareyClassifi
         for j in row:
             for k in later[j]:
                 if k in joined:
-                    t = FareyTriple(universe[i], universe[j], universe[k])
-                    yield t, classify(t)
+                    yield i, j, k
+
+
+def enumerate_triples(max_den: int) -> Iterator[Tuple[FareyTriple, FareyClassification]]:
+    """All valid triples over fraction_universe(max_den), one ordered
+    representative per multiset (sorted by (den, num)), with
+    classifications, in lexicographic order of their universe indices."""
+    universe = fraction_universe(max_den)
+    for i, j, k in _triangles([(f.num, f.den) for f in universe]):
+        t = FareyTriple(universe[i], universe[j], universe[k])
+        yield t, classify(t)
 
 
 def _row(cls: FareyClassification) -> Dict[str, object]:
-    """The atlas row of a valid triple's classification, with the triple
-    column blank.
+    """The atlas row of a shared classification of a valid triple, with
+    the triple column blank.
 
-    Nothing is eliminated: `classify` reads the form class off integers
-    (the det -C argument of the module docstring), and the invariants are
-    read off that class: odd_indefinite (p, m) has rank p + m, signature
-    p - m, parity Odd and det (-1)^m; even_indefinite (h,) has rank 2h,
-    signature 0, parity Even and det (-1)^h; the empty form of an
-    all-equal triple has rank 0, signature 0, parity Even and det 1.
-    Triplets and two-distinct triples have no other form classes."""
+    Nothing is eliminated: the invariants are read off the form class:
+    odd_indefinite (p, m) has rank p + m, signature p - m, parity Odd and
+    det (-1)^m; even_indefinite (h,) has rank 2h, signature 0, parity Even
+    and det (-1)^h.  Triplets and two-distinct triples have no other form
+    classes."""
     form = cls.form
-    if cls.kind == KIND_ALL_EQUAL:
-        rank, signature, parity, det = 0, 0, "Even", 1
-    elif form.kind == "odd_indefinite":
+    if form.kind == "odd_indefinite":
         p, m = form.params
         rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
     else:
@@ -276,7 +271,7 @@ def _row(cls: FareyClassification) -> Dict[str, object]:
         "triple": "",
         "kind": cls.kind,
         "manifold": str(cls.manifold),
-        "refined": f"{cls.refined[0]}#{cls.refined[1]}" if cls.refined else "",
+        "refined": f"{cls.refined[0]}#{cls.refined[1]}",
         "rank": rank,
         "signature": signature,
         "parity": parity,
@@ -284,8 +279,8 @@ def _row(cls: FareyClassification) -> Dict[str, object]:
     }
 
 
-# the rows of the four shared classifications, by identity; an atlas row
-# of one of them is a copy with its triple filled in
+# the rows of the four shared classifications of valid triples, by
+# identity; an atlas row of one of them is a copy with its triple filled in
 _SHARED_ROWS = {id(c): _row(c) for c in (_TRIPLET_PLUS, _TRIPLET_MINUS, _TWO_EVEN, _TWO_ODD)}
 
 
@@ -301,14 +296,28 @@ def atlas_rows(max_den: int) -> Iterator[Dict[str, object]]:
       `qx`, read off by `_row`.
     The last four describe qx, not the manifold's intersection form.  An
     all-equal triple has no qx, so its row reports the empty form (rank
-    0) and not b2: 1/0 1/0 1/0 is SpunLens(0,1), the spin of S1xS2,
-    whose b2 is 2."""
+    0, signature 0, parity Even, det 1) and not b2: 1/0 1/0 1/0 is
+    SpunLens(0,1), the spin of S1xS2, whose b2 is 2.
+
+    The rows come straight from the universe's (num, den) ints, with no
+    FareyTriple or classification record: each slope's text is formatted
+    once, `_class_of` names the shared row to copy, and an all-equal row
+    is written as a literal."""
+    slopes = _slopes(max_den)
+    text = [f"{num}/{den}" for num, den in slopes]
     shared = _SHARED_ROWS
-    for t, cls in enumerate_triples(max_den):
-        row = shared.get(id(cls))
-        row = row.copy() if row is not None else _row(cls)
-        row["triple"] = str(t)
-        yield row
+    for i, j, k in _triangles(slopes):
+        (a, b), (c, d), (p, q) = slopes[i], slopes[j], slopes[k]
+        cls = _class_of(a, b, c, d, p, q)
+        if cls is None:  # fraction a/b spins L(b, a)
+            s = text[i]
+            yield {"triple": f"{s} {s} {s}", "kind": KIND_ALL_EQUAL,
+                   "manifold": f"SpunLens({b},{a})", "refined": "",
+                   "rank": 0, "signature": 0, "parity": "Even", "det": 1}
+        else:
+            row = shared[id(cls)].copy()
+            row["triple"] = f"{text[i]} {text[j]} {text[k]}"
+            yield row
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,19 @@ class TestJson:
         assert a == b
 
 
+def dict_writer_csv(max_den):
+    import csv
+
+    from trisect.cli import ATLAS_COLUMNS
+    from trisect.farey import atlas_rows
+
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(atlas_rows(max_den))
+    return buf.getvalue()
+
+
 class TestAtlas:
     def test_csv_to_stdout(self, run):
         code, out, _ = run("farey-atlas", "--max-den", "1")
@@ -367,24 +380,24 @@ class TestAtlas:
         code, out, _ = run("farey-atlas", "--max-den", "0")
         assert len(out.splitlines()) == 2
 
-    @pytest.mark.parametrize("max_den", range(7))
+    @pytest.mark.parametrize("max_den", range(21))
     def test_stdout_and_file_match_a_csv_writer(self, run, tmp_path, max_den):
-        import csv
-
-        from trisect.cli import ATLAS_COLUMNS
-        from trisect.farey import atlas_rows
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=ATLAS_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(atlas_rows(max_den))
-        expected = buf.getvalue()
+        # a DictWriter, which places each value by its key, is the
+        # reference for the CLI's writer, which takes the values in order
+        expected = dict_writer_csv(max_den)
         code, out, _ = run("farey-atlas", "--max-den", str(max_den))
         assert code == 0 and out == expected
         target = tmp_path / "atlas.csv"
         code, out, _ = run("farey-atlas", "--max-den", str(max_den), "--out", str(target))
         assert code == 0 and target.read_bytes() == expected.encode()
         assert out == f"wrote {expected.count(chr(10)) - 1} rows to {target}\n"
+
+    def test_file_with_json_summary_matches_a_csv_writer(self, run, tmp_path):
+        expected = dict_writer_csv(20)
+        target = tmp_path / "atlas.csv"
+        code, out, _ = run("farey-atlas", "--max-den", "20", "--out", str(target), "--json")
+        assert code == 0 and target.read_bytes() == expected.encode()
+        assert json.loads(out) == {"max_den": 20, "rows": 3064, "out": str(target)}
 
     def test_stdout_written_in_blocks(self, monkeypatch):
         # on an unbuffered stdout each write is a syscall, so the rows go

@@ -15,6 +15,7 @@ from trisect.farey import (
     FareyClassification,
     FareyTriple,
     SpunLens,
+    _class_of,
     atlas_rows,
     classify,
     dmet,
@@ -181,10 +182,10 @@ def assert_same_classification(t):
 
 
 @st.composite
-def farey_neighbors(draw):
-    """Fractions x, y at Farey distance +-1 with entries of up to 64 bits:
-    extended Euclid gives ad - bc = 1, then y moves along the neighbors of x."""
-    bound = 2 ** 64
+def farey_neighbors(draw, bound=2 ** 64):
+    """Fractions x, y at Farey distance +-1 with entries of up to `bound`
+    (64 bits by default): extended Euclid gives ad - bc = 1, then y moves
+    along the neighbors of x."""
     x = Fraction.of(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
     a, b = x.num, x.den
     d = pow(a, -1, b)  # a*d = 1 (mod b)
@@ -386,13 +387,13 @@ def assert_matches_counting_code(t):
 
 
 @st.composite
-def slope_triples(draw):
+def slope_triples(draw, bound=2 ** 64):
     """Three slopes in any order and with any repeats: 1/0, small ones
-    (often neighbours, often not), wide ones, and a Farey neighbour with
-    both mediants of it."""
+    (often neighbours, often not), wide ones of up to `bound`, and a Farey
+    neighbour with both mediants of it."""
     small = st.builds(Fraction.of, st.integers(-6, 6), st.integers(1, 6))
-    wide = st.builds(Fraction.of, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64))
-    x, y = draw(farey_neighbors())
+    wide = st.builds(Fraction.of, st.integers(-bound, bound), st.integers(1, bound))
+    x, y = draw(farey_neighbors(bound))
     pool = [Fraction(1, 0), x, y, Fraction.of(x.num + y.num, x.den + y.den),
             Fraction.of(x.num - y.num, x.den - y.den), draw(small), draw(small), draw(wide)]
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=3))
@@ -432,26 +433,31 @@ def fresh_atlas_rows(max_den):
     """`atlas_rows` as it was: a new classification per row, the form
     invariants derived per row, and the triple through Fraction.__str__."""
     for t, _ in enumerate_triples(max_den):
-        cls = count_classify(t)
-        form = cls.form
-        if cls.kind == "AllEqual":
-            rank, signature, parity, det = 0, 0, "Even", 1
-        elif form.kind == "odd_indefinite":
-            p, m = form.params
-            rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
-        else:
-            (h,) = form.params
-            rank, signature, parity, det = 2 * h, 0, "Even", (-1) ** h
-        yield {
-            "triple": " ".join(map(str, t)),
-            "kind": cls.kind,
-            "manifold": str(cls.manifold),
-            "refined": f"{cls.refined[0]}#{cls.refined[1]}" if cls.refined else "",
-            "rank": rank,
-            "signature": signature,
-            "parity": parity,
-            "det": det,
-        }
+        yield fresh_row(t, count_classify(t))
+
+
+def fresh_row(t, cls):
+    """The atlas row of triple t with classification cls, every column
+    built afresh."""
+    form = cls.form
+    if cls.kind == "AllEqual":
+        rank, signature, parity, det = 0, 0, "Even", 1
+    elif form.kind == "odd_indefinite":
+        p, m = form.params
+        rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
+    else:
+        (h,) = form.params
+        rank, signature, parity, det = 2 * h, 0, "Even", (-1) ** h
+    return {
+        "triple": " ".join(map(str, t)),
+        "kind": cls.kind,
+        "manifold": str(cls.manifold),
+        "refined": f"{cls.refined[0]}#{cls.refined[1]}" if cls.refined else "",
+        "rank": rank,
+        "signature": signature,
+        "parity": parity,
+        "det": det,
+    }
 
 
 def assert_rows_match_fresh_rows(max_den):
@@ -517,6 +523,58 @@ class TestSharedRows:
         with pytest.raises(AttributeError):
             cls.form.kind = "zero"
         assert (cls.kind, cls.manifold, cls.refined, cls.form) == before
+
+
+# ---------------------------------------------------------------------------
+# atlas rows straight from integer slopes against the record path: the
+# universe against a test-local copy of its Fraction.of filter, the
+# integer rule against the classifications, and the literal all-equal
+# rows against the rows of their classifications
+# ---------------------------------------------------------------------------
+
+def filtered_universe(max_den):
+    """`fraction_universe` as it was: Fraction.of over the whole window,
+    kept when already reduced with that denominator."""
+    out = [Fraction(1, 0)]
+    for den in range(1, max_den + 1):
+        for num in range(-max_den, max_den + 1):
+            f = Fraction.of(num, den)
+            if f.den == den:
+                out.append(f)
+    return out
+
+
+class TestRowsFromIntegers:
+    def test_universe_every_cap_to_40(self):
+        for max_den in range(41):
+            assert fraction_universe(max_den) == filtered_universe(max_den), max_den
+
+    def test_negative_cap_refused(self):
+        with pytest.raises(NotNeighbors):
+            fraction_universe(-1)
+        with pytest.raises(NotNeighbors):
+            next(atlas_rows(-1))
+
+    def test_all_equal_rows_are_their_classifications_rows(self):
+        universe = fraction_universe(30)
+        assert universe[0] == Fraction(1, 0) and min(s.num for s in universe) == -30
+        rows = [row for row in atlas_rows(30) if row["kind"] == "AllEqual"]
+        assert len(rows) == len(universe)
+        for s, row in zip(universe, rows):
+            t = FareyTriple(s, s, s)
+            assert list(row.items()) == list(fresh_row(t, classify(t)).items()), str(s)
+
+    @settings(max_examples=400, deadline=None)
+    @given(slope_triples(2 ** 80))
+    def test_integer_rule_is_the_classification(self, t):
+        x, y, z = t
+        cls = _class_of(x.num, x.den, y.num, y.den, z.num, z.den)
+        expected = count_classify(t)
+        assert classify(t) == expected, str(t)
+        if expected.kind == "AllEqual":
+            assert cls is None, str(t)
+        else:
+            assert cls is classify(t) and cls == expected, str(t)
 
 
 class TestHomologyModel:
