@@ -476,6 +476,8 @@ class TrisectionParams(Record):
                     raise DiagramError(
                         f"k = {k}: closed parameters need k_i <= g = {genus}"
                     )
+        if bridge is not None and not isinstance(bridge, BridgeData):
+            raise DiagramError(f"bridge must be BridgeData or None, got {type(bridge).__name__}")
         self._store(genus, k, boundary, bridge)
 
     def with_bridge(self, b: int, c: Tuple[int, int, int]) -> "TrisectionParams":

@@ -131,6 +131,8 @@ class SlideMove(Record):
         needs_arg = kind in ("ExtendB1", "CommuteLambdaMu")
         if needs_arg != (arg is not None):
             raise IllegalMove(f"move {kind} argument mismatch")
+        if needs_arg and type(arg) is not int:  # bool, a subclass of int, too
+            raise IllegalMove(f"move {kind} argument must be an integer, got {arg!r}")
         self._store(kind, arg)
 
     @property

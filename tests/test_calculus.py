@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from trisect.calculus import (
     _GEN_BLOCKS,
+    TAU12,
     BoundaryCircles,
     ClosedPage,
     PastingInput,
@@ -340,6 +342,15 @@ class TestRibbonGraph:
         assert 0 <= genus <= (e - v + 1) // 2  # f >= 1
 
 
+def block_product(blocks):
+    """A plan's composite by definition: the left-to-right product of its
+    blocks' matrices."""
+    prod = identity(3)
+    for b in blocks:
+        prod = mat_mul(prod, block_matrix(b))
+    return prod
+
+
 def with_composite(text, m):
     """A plan text with its COMPOSITE line replaced by one stating m."""
     blocks = text.splitlines()[:-1]
@@ -433,10 +444,7 @@ class TestPlans:
         # the composite is the product of the blocks' matrices, and a file
         # whose COMPOSITE line states another matrix is refused
         plan = luttinger_plan(1, 2)
-        prod = identity(3)
-        for b in plan.blocks:
-            prod = mat_mul(prod, block_matrix(b))
-        assert plan.composite == prod
+        assert plan.composite == block_product(plan.blocks)
         with pytest.raises(DiagramError):
             parse_plan(with_composite(serialize_plan(plan), identity(3)))
 
@@ -453,10 +461,7 @@ class TestPlans:
 
     @pytest.mark.parametrize("kind", ["s12", "s23", "s31", "s12i", "s23i", "s31i"])
     def test_gen_blocks_multiply_to_generator(self, kind):
-        prod = identity(3)
-        for b in _GEN_BLOCKS[kind]:
-            prod = mat_mul(prod, block_matrix(b))
-        assert prod == gen_matrix(Gen(kind))
+        assert block_product(_GEN_BLOCKS[kind]) == gen_matrix(Gen(kind))
 
     @pytest.mark.parametrize("k", [-7, -1, 0, 1, 12])
     def test_shear_block_is_shear_generator(self, k):
@@ -514,9 +519,7 @@ class TestBlockProduct:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(plan_blocks, max_size=40), st.integers(0, 8), st.integers(1, 3))
     def test_column_product_matches_matrix_product(self, blocks, cell, delta):
-        expect = identity(3)
-        for b in blocks:
-            expect = mat_mul(expect, block_matrix(b))
+        expect = block_product(blocks)
         plan = SurgeryPlan(tuple(blocks))
         assert plan.composite == expect
         wrong = [row[:] for row in expect]
@@ -533,72 +536,15 @@ class TestBlockProduct:
                 assert shear_block(b.shear) == b
 
 
-_REFERENCE_TOKENS = {"COMPLEMENT": "complement", "TAU0": "tau0", "TAU12": "tau12",
-                     "TAU23": "tau23", "TAU31": "tau31", "TAUEMPTY": "tauempty"}
-
-
-def reference_parse_plan(text):
-    """The plan parser as first written: every line split, converted and
-    checked, every block built anew, and the stated composite compared
-    with the plain matrix product of the blocks."""
-    blocks = []
-    stated = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if stated is not None:
-            raise DiagramError(f"line {lineno}: content after COMPOSITE")
-        tokens = line.split()
-        word = tokens[0]
-        if word == "SHEAR":
-            if len(tokens) != 5:
-                raise DiagramError(f"line {lineno}: SHEAR needs 4 integers")
-            try:
-                p, q, r, s = (int(t) for t in tokens[1:])
-            except ValueError:
-                raise DiagramError(f"line {lineno}: SHEAR needs integers") from None
-            blocks.append(shear_block(((p, q), (r, s))))
-        elif word == "COMPOSITE":
-            if len(tokens) != 10:
-                raise DiagramError(f"line {lineno}: COMPOSITE needs 9 integers")
-            try:
-                vals = [int(t) for t in tokens[1:]]
-            except ValueError:
-                raise DiagramError(f"line {lineno}: COMPOSITE needs integers") from None
-            stated = [vals[0:3], vals[3:6], vals[6:9]]
-        elif word in _REFERENCE_TOKENS:
-            if len(tokens) != 1:
-                raise DiagramError(f"line {lineno}: {word} takes no arguments")
-            blocks.append(PlanBlock(_REFERENCE_TOKENS[word]))
-        else:
-            raise DiagramError(f"line {lineno}: unknown block {word!r}")
-    if stated is None:
-        raise DiagramError("plan has no COMPOSITE line")
-    prod = identity(3)
-    for b in blocks:
-        prod = mat_mul(prod, block_matrix(b))
-    if prod != stated:
-        raise DiagramError(f"stated composite {stated} does not match block product {prod}")
-    return SurgeryPlan(tuple(blocks))
-
-
-def parse_outcome(parse, text):
-    try:
-        return parse(text)
-    except (DiagramError, NotSL2) as e:
-        return type(e), str(e)
-
-
 @st.composite
-def sl3_plan_texts(draw):
-    """serialize_plan of surgery_plan_general of a random SL3 matrix."""
+def sl3_plans(draw):
+    """surgery_plan_general of a random SL3 matrix."""
     kinds = ["s12", "s23", "s31", "s12i", "s23i", "s31i", "e"]
     m = identity(3)
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
         g = Gen(kind, draw(st.integers(-6, 6))) if kind == "e" else Gen(kind)
         m = mat_mul(m, gen_matrix(g))
-    return serialize_plan(surgery_plan_general(m))
+    return surgery_plan_general(m)
 
 
 # edits of one line of a good plan text; some keep it good, most break it
@@ -614,24 +560,47 @@ LINE_EDITS = (
     lambda line: "",
 )
 
+# parse_plan's refusal of one line, naming it, or of the plan as a whole
+LINE_MESSAGE = re.compile(r"line (\d+): (content after COMPOSITE|(SHEAR|COMPOSITE) needs "
+                          r"(4 |9 )?integers|[A-Z0-9]+ takes no arguments|unknown block '.*')")
+PLAN_MESSAGE = re.compile(r"plan has no COMPOSITE line|stated composite .* does not match "
+                          r"block product .*|shear payload must have determinant 1, got -?\d+")
+
 
 class TestParsePlanAgainstReference:
+    """parse_plan against the definition of a plan file: the lines of the
+    plan it reads are serialize_plan's, its composite is the block_matrix
+    product of its blocks, and a refusal is one of parse_plan's messages."""
+
     @settings(max_examples=60, deadline=None)
-    @given(sl3_plan_texts())
-    def test_random_general_plans(self, text):
-        plan = parse_plan(text)
-        assert plan == reference_parse_plan(text)
-        assert serialize_plan(plan) == text
+    @given(sl3_plans())
+    def test_random_general_plans(self, plan):
+        text = serialize_plan(plan)
+        assert parse_plan(text) == plan
+        assert plan.composite == block_product(plan.blocks)
 
     @settings(max_examples=200, deadline=None)
-    @given(sl3_plan_texts(), st.data())
-    def test_edited_plans_same_plan_or_message(self, text, data):
-        lines = text.splitlines()
+    @given(sl3_plans(), st.data())
+    def test_edited_plans_same_plan_or_message(self, plan, data):
+        lines = serialize_plan(plan).splitlines()
         i = data.draw(st.integers(0, len(lines) - 1))
         edit = data.draw(st.sampled_from(LINE_EDITS))
         lines[i] = edit(lines[i])
         edited = "\n".join(lines) + "\n"
-        assert parse_outcome(parse_plan, edited) == parse_outcome(reference_parse_plan, edited)
+        try:
+            parsed = parse_plan(edited)
+        except (DiagramError, NotSL2) as e:
+            line = LINE_MESSAGE.fullmatch(str(e))
+            if line:
+                # a good text breaks only at the edit: line i + 1, or the copy after it
+                assert type(e) is DiagramError and int(line.group(1)) in (i + 1, i + 2)
+            else:
+                assert PLAN_MESSAGE.fullmatch(str(e)), str(e)
+        else:
+            # the plan of the edited lines, stating the product of its blocks
+            assert serialize_plan(parsed).splitlines() == [
+                line.strip() for line in edited.splitlines() if line.strip()]
+            assert parsed.composite == block_product(parsed.blocks)
 
     @pytest.mark.parametrize("text,error,message", [
         ("TAU31\nTAU31 x\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n",
@@ -646,16 +615,35 @@ class TestParsePlanAgainstReference:
          DiagramError, "line 4: content after COMPOSITE"),
     ])
     def test_bad_line_after_good_line_with_same_token(self, text, error, message):
-        for parse in (parse_plan, reference_parse_plan):
-            with pytest.raises(error) as err:
-                parse(text)
-            assert type(err.value) is error and str(err.value) == message
+        with pytest.raises(error) as err:
+            parse_plan(text)
+        assert type(err.value) is error and str(err.value) == message
 
     def test_padded_repeats_parse_alike(self):
         plain = "TAU12\nSHEAR 1 2 0 1\nSHEAR 1 2 0 1\nTAU12\nCOMPOSITE 1 0 0 4 1 0 0 0 1\n"
         padded = ("  TAU12\n\nSHEAR 1 2 0 1\t\n   SHEAR 1 2 0 1\n\n"
                   "TAU12   \n  COMPOSITE 1 0 0 4 1 0 0 0 1\n\n")
-        assert parse_plan(padded) == parse_plan(plain) == reference_parse_plan(plain)
+        blocks = (TAU12, shear_block(((1, 2), (0, 1))), shear_block(((1, 2), (0, 1))), TAU12)
+        assert parse_plan(padded) == parse_plan(plain) == SurgeryPlan(blocks)
+
+
+# plan text -> the message parse_plan refuses it with: each of its messages
+PARSE_REJECTS = {
+    "": "plan has no COMPOSITE line",
+    "TAU0\n": "plan has no COMPOSITE line",
+    "BOGUS\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n": "line 1: unknown block 'BOGUS'",
+    "COMPOSITE 1 0 0 0 1 0 0 0 1\nTAU0\n": "line 2: content after COMPOSITE",
+    "SHEAR 1 0 0\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n": "line 1: SHEAR needs 4 integers",
+    "COMPOSITE 1 0 0 0 1 0 0 0 2\n": "stated composite [[1, 0, 0], [0, 1, 0], [0, 0, 2]] "
+                                      "does not match block product [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+    "TAU23\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n": "stated composite [[1, 0, 0], [0, 1, 0], [0, 0, 1]] "
+                                             "does not match block product [[1, 0, 0], [0, 0, 1], [0, 1, 0]]",
+    "SHEAR 1 x 0 1\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n": "line 1: SHEAR needs integers",
+    "TAU0\nCOMPOSITE 1 0 0 0 1 0 0 0\n": "line 2: COMPOSITE needs 9 integers",
+    "COMPOSITE 1 0 0 0 1 0 0 0 one\n": "line 1: COMPOSITE needs integers",
+    "TAUEMPTY 0\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n": "line 1: TAUEMPTY takes no arguments",
+    "tau0\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n": "line 1: unknown block 'tau0'",
+}
 
 
 class TestPlanSerialization:
@@ -678,18 +666,11 @@ class TestPlanSerialization:
         assert lines[-1] == "COMPOSITE 1 0 0 0 1 0 0 0 1"
         assert text.endswith("\n")
 
-    @pytest.mark.parametrize("bad", [
-        "",                                   # no composite
-        "TAU0\n",                             # still no composite
-        "BOGUS\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n",
-        "COMPOSITE 1 0 0 0 1 0 0 0 1\nTAU0\n",   # trailing block
-        "SHEAR 1 0 0\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n",
-        "COMPOSITE 1 0 0 0 1 0 0 0 2\n",      # stated product wrong
-        "TAU23\nCOMPOSITE 1 0 0 0 1 0 0 0 1\n",  # mismatch with product
-    ])
+    @pytest.mark.parametrize("bad", list(PARSE_REJECTS))
     def test_parse_rejects(self, bad):
-        with pytest.raises(DiagramError):
+        with pytest.raises(DiagramError) as err:
             parse_plan(bad)
+        assert str(err.value) == PARSE_REJECTS[bad]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-20, 20), st.integers(-20, 20))
@@ -730,11 +711,8 @@ class TestPlanBlockContract:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(plan_blocks, max_size=30))
     def test_plans_with_random_shears_round_trip(self, blocks):
-        composite = identity(3)
-        for b in blocks:
-            composite = mat_mul(composite, block_matrix(b))
         plan = SurgeryPlan(tuple(blocks))
-        assert plan.composite == composite
+        assert plan.composite == block_product(blocks)
         assert parse_plan(serialize_plan(plan)) == plan
 
     @settings(max_examples=60, deadline=None)

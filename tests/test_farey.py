@@ -1,12 +1,12 @@
+import functools
 import itertools
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisect.diagram import Fraction, parse_fraction, validate_cut_system
-from trisect.errors import DiagramError, FormUndefined, NotNeighbors
+from trisect.errors import FormUndefined, NotNeighbors
 from trisect.farey import (
     CP2_MINUS,
     CP2_PLUS,
@@ -27,7 +27,7 @@ from trisect.farey import (
     triple_kind,
 )
 from trisect.invariants import first_homology
-from trisect.zmatrix import FormClass, classify_unimodular, determinant, sym_form_invariants
+from trisect.zmatrix import classify_unimodular, determinant, sym_form_invariants
 
 
 def F(text):
@@ -36,6 +36,131 @@ def F(text):
 
 def T(a, b, c):
     return FareyTriple(F(a), F(b), F(c))
+
+
+# ---------------------------------------------------------------------------
+# the oracle: each Farey kernel by its definition.  It shares with
+# trisect.farey only the Fraction values and dmet; the form classes come
+# from the general elimination of zmatrix.
+# ---------------------------------------------------------------------------
+
+def oracle_universe(max_den):
+    """`fraction_universe` by its docstring: every reduced fraction with
+    den <= max_den and |num| <= max_den, and 1/0, sorted by (den, num)."""
+    fracs = {Fraction.of(num, den) for den in range(1, max_den + 1)
+             for num in range(-max_den, max_den + 1)}
+    return sorted(fracs | {Fraction(1, 0)}, key=lambda f: (f.den, f.num))
+
+
+@functools.lru_cache(maxsize=None)
+def dmet_enumeration(max_den):
+    """`enumerate_triples` without classifications: one dmet call per pair
+    of the universe, then neighbour-set intersections."""
+    universe = oracle_universe(max_den)
+    n = len(universe)
+    neighbors = [set() for _ in range(n)]
+    for i in range(n):
+        neighbors[i].add(i)
+        for j in range(i + 1, n):
+            if abs(dmet(universe[i], universe[j])) <= 1:
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+    return tuple(FareyTriple(universe[i], universe[j], universe[k])
+                 for i in range(n) for j in sorted(neighbors[i]) if j >= i
+                 for k in sorted(neighbors[i] & neighbors[j]) if k >= j)
+
+
+def oracle_kind(t):
+    """Invalid when two slopes are more than one apart, else named by the
+    number of distinct slopes."""
+    if any(abs(dmet(u, v)) > 1 for u, v in itertools.combinations(t, 2)):
+        return "Invalid"
+    return {1: "AllEqual", 2: "TwoDistinct", 3: "FareyTriplet"}[len(set(t))]
+
+
+def exact(n, d):
+    q, r = divmod(n, d)
+    assert r == 0, (n, d)
+    return q
+
+
+def oracle_qx(t):
+    """`qx` by the formula of its docstring, or None where it is undefined."""
+    kind = oracle_kind(t)
+    if kind == "TwoDistinct":
+        # the lone fraction first, then the repeated one
+        lone = next(f for f in t if sum(f == g for g in t) == 1)
+        repeated = next(f for f in t if f != lone)
+        a, b, c, d = lone.num, lone.den, repeated.num, repeated.den
+        return [[exact(b * d, a * d - b * c), -1], [-1, 0]]
+    if kind != "FareyTriplet":
+        return None
+    (a, b), (c, d), (p, q) = ((f.num, f.den) for f in t)
+    off = exact(b * (c * q - d * p), b * c - a * d)
+    return [[exact(b * d, a * d - b * c), -1, off], [-1, 0, 0],
+            [off, 0, exact((b * p - a * q) * (c * q - d * p), b * c - a * d)]]
+
+
+def canonical(t):
+    return FareyTriple(*sorted(t, key=lambda f: (f.den, f.num)))
+
+
+# the manifold and refined name of each form class of a triplet
+TRIPLET_MANIFOLDS = {(2, 1): (CP2_PLUS, ("CP2", S2TWS2)), (1, 2): (CP2_MINUS, ("CP2bar", S2TWS2))}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_classify(t):
+    """`classify` by the Farey trichotomy: the form class of qx by general
+    elimination (of the (den, num)-sorted order for a triplet), and the
+    manifold that class names."""
+    kind = oracle_kind(t)
+    if kind == "Invalid":
+        return FareyClassification(kind, None, None, None)
+    if kind == "AllEqual":
+        return FareyClassification(kind, SpunLens(t.x.den, t.x.num), None, classify_unimodular([]))
+    form = classify_unimodular(oracle_qx(canonical(t)))
+    if kind == "TwoDistinct":
+        bundle = S2XS2 if form.kind == "even_indefinite" else S2TWS2
+        return FareyClassification(kind, bundle, ("S4", bundle), form)
+    assert form.kind == "odd_indefinite", str(t)
+    return FareyClassification(kind, *TRIPLET_MANIFOLDS[form.params], form)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_row(t):
+    """The atlas row of a valid triple as its (column, value) pairs, in
+    column order: its oracle classification, and the invariants of its qx
+    (of the empty form for an all-equal triple) by `sym_form_invariants`."""
+    cls = oracle_classify(t)
+    inv = sym_form_invariants(oracle_qx(canonical(t)) or [])
+    return (
+        ("triple", " ".join(map(str, t))),
+        ("kind", cls.kind),
+        ("manifold", str(cls.manifold)),
+        ("refined", "#".join(cls.refined) if cls.refined else ""),
+        ("rank", inv.rank),
+        ("signature", inv.signature),
+        ("parity", inv.parity),
+        ("det", inv.det),
+    )
+
+
+def assert_matches_oracle(t):
+    cls = classify(t)
+    assert (triple_kind(t), cls) == (oracle_kind(t), oracle_classify(t)), str(t)
+    try:
+        form = qx(t)
+    except FormUndefined:
+        form = None
+    assert form == oracle_qx(t), str(t)
+    return cls
+
+
+def assert_rows_match_oracle(max_den):
+    # --json writes the keys in dict order, so the order is checked too
+    rows = [tuple(row.items()) for row in atlas_rows(max_den)]
+    assert rows == [oracle_row(t) for t in dmet_enumeration(max_den)], max_den
 
 
 class TestDmet:
@@ -102,8 +227,10 @@ class TestClassify:
         assert sym_form_invariants(qx(T("1/1", "1/2", "2/3"))).signature == -1
 
     def test_positive_signature_triplet(self):
-        cls = classify(T("0/1", "1/0", "1/1"))
-        assert cls.manifold in (CP2_PLUS, CP2_MINUS)
+        for t in itertools.permutations(("0/1", "1/1", "1/2")):
+            cls = classify(T(*t))
+            assert cls.manifold == CP2_PLUS and cls.refined == ("CP2", S2TWS2)
+            assert sym_form_invariants(qx(canonical(T(*t)))).signature == 1
 
     def test_two_distinct_parity(self):
         assert classify(T("0/1", "1/1", "1/1")).manifold == S2TWS2  # bd = 1
@@ -145,40 +272,12 @@ class TestClassify:
         for t, cls in enumerate_triples(6):
             if cls.kind != "FareyTriplet":
                 continue
-            canon = FareyTriple(*sorted(t, key=lambda f: (f.den, f.num)))
-            signature = sym_form_invariants(qx(canon)).signature
+            signature = sym_form_invariants(oracle_qx(canonical(t))).signature
             assert cls.form.kind == "odd_indefinite"
             assert cls.form.params == ((2, 1) if signature == 1 else (1, 2))
             assert cls.manifold == (CP2_PLUS if signature == 1 else CP2_MINUS)
             seen.add(signature)
         assert seen == {1, -1}
-
-
-def reference_classify(t):
-    """`classify` as it was before the closed form: eliminate qx."""
-    kind = triple_kind(t)
-    if kind == "Invalid":
-        return FareyClassification(kind, None, None, None)
-    if kind == "AllEqual":
-        return FareyClassification(kind, SpunLens(t.x.den, t.x.num), None, classify_unimodular([]))
-    if kind == "TwoDistinct":
-        form = classify_unimodular(qx(t))
-        counts = Counter(t)
-        lone, repeated = sorted(counts, key=counts.__getitem__)
-        bundle = S2XS2 if (lone.den * repeated.den) % 2 == 0 else S2TWS2
-        return FareyClassification(kind, bundle, ("S4", bundle), form)
-    canon = FareyTriple(*sorted(t, key=lambda f: (f.den, f.num)))
-    form = classify_unimodular(qx(canon))
-    if form.params == (2, 1):
-        return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), form)
-    return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), form)
-
-
-def assert_same_classification(t):
-    cls, ref = classify(t), reference_classify(t)
-    assert (cls.kind, cls.manifold, cls.refined, cls.form) == (
-        ref.kind, ref.manifold, ref.refined, ref.form), str(t)
-    return cls
 
 
 @st.composite
@@ -198,7 +297,7 @@ class TestClosedFormAgainstElimination:
     def test_every_atlas_triple(self):
         seen = set()
         for t, cls in enumerate_triples(20):
-            assert_same_classification(t)
+            assert_matches_oracle(t)
             seen.add((cls.kind, str(cls.form)))
         assert seen == {
             ("AllEqual", "zero"),
@@ -220,7 +319,7 @@ class TestClosedFormAgainstElimination:
             third = Fraction.of(x.num - y.num, x.den - y.den)
         fracs = (x, y, third)
         t = FareyTriple(*(fracs[i] for i in order))
-        cls = assert_same_classification(t)
+        cls = assert_matches_oracle(t)
         assert cls.kind == ("TwoDistinct" if two_distinct else "FareyTriplet")
 
 
@@ -259,14 +358,14 @@ class TestEnumeration:
 
     def test_count_matches_brute_force(self):
         # independent oracle: test every ordered triple, count unordered reps
-        univ = fraction_universe(5)
+        univ = oracle_universe(5)
         fast = sum(1 for _ in enumerate_triples(5))
         slow = 0
         for i, x in enumerate(univ):
             for j in range(i, len(univ)):
                 for k in range(j, len(univ)):
                     t = FareyTriple(x, univ[j], univ[k])
-                    if triple_kind(t) != "Invalid":
+                    if oracle_kind(t) != "Invalid":
                         slow += 1
         assert fast == slow
 
@@ -287,7 +386,7 @@ class TestEnumeration:
             if cls.kind == "AllEqual":
                 assert (row["rank"], row["signature"], row["parity"], row["det"]) == (0, 0, "Even", 1)
                 continue
-            inv = sym_form_invariants(qx(t))
+            inv = sym_form_invariants(oracle_qx(t))
             assert (row["rank"], row["signature"], row["parity"], row["det"]) == (
                 inv.rank, inv.signature, inv.parity, inv.det)
             form_kinds.add(cls.form.kind)
@@ -295,96 +394,8 @@ class TestEnumeration:
 
 
 # ---------------------------------------------------------------------------
-# the integer row path against test-local copies of the code it replaced,
-# which compared, hashed and counted Fractions and called dmet per pair
+# the integer row path, the atlas rows and the universe against the oracle
 # ---------------------------------------------------------------------------
-
-def dmet_enumeration(max_den):
-    """`enumerate_triples` as it was, without classifications: one dmet
-    call per pair of the universe, then neighbour-set intersections."""
-    universe = fraction_universe(max_den)
-    n = len(universe)
-    neighbors = [set() for _ in range(n)]
-    for i in range(n):
-        neighbors[i].add(i)
-        for j in range(i + 1, n):
-            if abs(dmet(universe[i], universe[j])) <= 1:
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-    for i in range(n):
-        for j in sorted(neighbors[i]):
-            if j < i:
-                continue
-            for k in sorted(neighbors[i] & neighbors[j]):
-                if k < j:
-                    continue
-                yield FareyTriple(universe[i], universe[j], universe[k])
-
-
-def set_kind(t):
-    """`triple_kind` as it was: dmet on each pair, then a set of fractions."""
-    if any(abs(dmet(u, v)) > 1 for u, v in ((t.x, t.y), (t.x, t.z), (t.y, t.z))):
-        return "Invalid"
-    return {1: "AllEqual", 2: "TwoDistinct", 3: "FareyTriplet"}[len({t.x, t.y, t.z})]
-
-
-def count_split(t):
-    """(lone, repeated) of a two-distinct triple by `list.count`."""
-    fracs = [t.x, t.y, t.z]
-    for f in fracs:
-        if fracs.count(f) == 1:
-            lone = f
-        else:
-            repeated = f
-    return lone, repeated
-
-
-def sorted_corner(x, y, z):
-    a, b, c, d, p, q = x.num, x.den, y.num, y.den, z.num, z.den
-    return (b * p - a * q) * (c * q - d * p) * (b * c - a * d)
-
-
-def count_classify(t):
-    """`classify` as it was: the set kind, the lone fraction by count, and
-    the corner of the triplet sorted as Fractions by (den, num)."""
-    kind = set_kind(t)
-    if kind == "Invalid":
-        return FareyClassification(kind, None, None, None)
-    if kind == "AllEqual":
-        return FareyClassification(kind, SpunLens(t.x.den, t.x.num), None, FormClass("zero"))
-    if kind == "TwoDistinct":
-        lone, repeated = count_split(t)
-        if (lone.den * repeated.den) % 2 == 0:
-            return FareyClassification(kind, S2XS2, ("S4", S2XS2), FormClass("even_indefinite", (1,)))
-        return FareyClassification(kind, S2TWS2, ("S4", S2TWS2), FormClass("odd_indefinite", (1, 1)))
-    if sorted_corner(*sorted(t, key=lambda f: (f.den, f.num))) == 1:
-        return FareyClassification(kind, CP2_PLUS, ("CP2", S2TWS2), FormClass("odd_indefinite", (2, 1)))
-    return FareyClassification(kind, CP2_MINUS, ("CP2bar", S2TWS2), FormClass("odd_indefinite", (1, 2)))
-
-
-def count_qx(t):
-    """`qx` as it was, with the set kind and the count split."""
-    kind = set_kind(t)
-    if kind == "FareyTriplet":
-        a, b, c, d, p, q = t.x.num, t.x.den, t.y.num, t.y.den, t.z.num, t.z.den
-        off = b * (c * q - d * p) * (b * c - a * d)
-        return [[b * d * (a * d - b * c), -1, off], [-1, 0, 0], [off, 0, sorted_corner(*t)]]
-    if kind == "TwoDistinct":
-        lone, repeated = count_split(t)
-        a, b, c, d = lone.num, lone.den, repeated.num, repeated.den
-        return [[b * d * (a * d - b * c), -1], [-1, 0]]
-    return None
-
-
-def assert_matches_counting_code(t):
-    assert triple_kind(t) == set_kind(t), str(t)
-    assert classify(t) == count_classify(t), str(t)
-    try:
-        form = qx(t)
-    except FormUndefined:
-        form = None
-    assert form == count_qx(t), str(t)
-
 
 @st.composite
 def slope_triples(draw, bound=2 ** 64):
@@ -404,67 +415,24 @@ class TestIntegerRowPath:
     def test_enumeration_every_cap_to_30(self):
         for max_den in range(31):
             rows = list(enumerate_triples(max_den))
-            assert [t for t, _ in rows] == list(dmet_enumeration(max_den)), max_den
+            assert tuple(t for t, _ in rows) == dmet_enumeration(max_den), max_den
             for t, cls in rows:
-                assert cls == count_classify(t), str(t)
+                assert cls == oracle_classify(t), str(t)
 
     @settings(max_examples=3, deadline=None)
     @given(st.integers(31, 60))
     def test_enumeration_random_caps_to_60(self, max_den):
-        assert [t for t, _ in enumerate_triples(max_den)] == list(dmet_enumeration(max_den))
+        assert tuple(t for t, _ in enumerate_triples(max_den)) == dmet_enumeration(max_den)
 
     def test_every_ordered_triple_of_a_small_universe(self):
-        univ = fraction_universe(3)
+        univ = oracle_universe(3)
         for t in itertools.product(univ, repeat=3):
-            assert_matches_counting_code(FareyTriple(*t))
+            assert_matches_oracle(FareyTriple(*t))
 
     @settings(max_examples=400, deadline=None)
     @given(slope_triples())
     def test_random_triples(self, t):
-        assert_matches_counting_code(t)
-
-
-# ---------------------------------------------------------------------------
-# atlas rows from shared classifications against a test-local copy of the
-# row code they replaced, which built every column of every row afresh
-# ---------------------------------------------------------------------------
-
-def fresh_atlas_rows(max_den):
-    """`atlas_rows` as it was: a new classification per row, the form
-    invariants derived per row, and the triple through Fraction.__str__."""
-    for t, _ in enumerate_triples(max_den):
-        yield fresh_row(t, count_classify(t))
-
-
-def fresh_row(t, cls):
-    """The atlas row of triple t with classification cls, every column
-    built afresh."""
-    form = cls.form
-    if cls.kind == "AllEqual":
-        rank, signature, parity, det = 0, 0, "Even", 1
-    elif form.kind == "odd_indefinite":
-        p, m = form.params
-        rank, signature, parity, det = p + m, p - m, "Odd", (-1) ** m
-    else:
-        (h,) = form.params
-        rank, signature, parity, det = 2 * h, 0, "Even", (-1) ** h
-    return {
-        "triple": " ".join(map(str, t)),
-        "kind": cls.kind,
-        "manifold": str(cls.manifold),
-        "refined": f"{cls.refined[0]}#{cls.refined[1]}" if cls.refined else "",
-        "rank": rank,
-        "signature": signature,
-        "parity": parity,
-        "det": det,
-    }
-
-
-def assert_rows_match_fresh_rows(max_den):
-    rows, fresh = list(atlas_rows(max_den)), list(fresh_atlas_rows(max_den))
-    assert rows == fresh, max_den
-    # --json writes the keys in dict order
-    assert [list(r.items()) for r in rows] == [list(r.items()) for r in fresh], max_den
+        assert_matches_oracle(t)
 
 
 slopes = st.one_of(
@@ -477,12 +445,12 @@ slopes = st.one_of(
 class TestSharedRows:
     def test_every_cap_to_20(self):
         for max_den in range(21):
-            assert_rows_match_fresh_rows(max_den)
+            assert_rows_match_oracle(max_den)
 
     @settings(max_examples=3, deadline=None)
     @given(st.integers(21, 40))
     def test_random_caps_to_40(self, max_den):
-        assert_rows_match_fresh_rows(max_den)
+        assert_rows_match_oracle(max_den)
 
     def test_changing_a_row_changes_no_later_row(self):
         seen = []
@@ -491,7 +459,7 @@ class TestSharedRows:
             for key in row:
                 row[key] = None
             row["extra"] = 1
-        assert seen == list(fresh_atlas_rows(8))
+        assert [tuple(row.items()) for row in seen] == [oracle_row(t) for t in dmet_enumeration(8)]
 
     @settings(max_examples=300, deadline=None)
     @given(slopes, slopes, slopes)
@@ -506,14 +474,16 @@ class TestSharedRows:
             f"-{2 ** 65 + 1}/{2 ** 64} -{2 ** 65 + 1}/{2 ** 64} 1/0")
 
     @pytest.mark.parametrize("t", [
-        ("1/1", "1/2", "2/3"),   # CP2#CP2bar#CP2bar
-        ("1/2", "1/1", "2/3"),   # CP2#CP2#CP2bar
-        ("1/1", "1/1", "1/2"),   # S2xS2
-        ("1/1", "1/1", "0/1"),   # S2x~S2
+        (("1/1", "1/2", "2/3"), CP2_MINUS),
+        (("0/1", "1/1", "1/2"), CP2_PLUS),
+        (("1/1", "1/1", "1/2"), S2XS2),
+        (("1/1", "1/1", "0/1"), S2TWS2),
     ])
     def test_shared_classifications_are_immutable(self, t):
-        cls = classify(T(*t))
-        assert classify(T(*reversed(t))) is cls
+        slopes, manifold = t
+        cls = classify(T(*slopes))
+        assert cls.manifold == manifold
+        assert classify(T(*reversed(slopes))) is cls
         before = (cls.kind, cls.manifold, cls.refined, cls.form)
         for name in cls.__slots__:
             with pytest.raises(AttributeError):
@@ -525,29 +495,10 @@ class TestSharedRows:
         assert (cls.kind, cls.manifold, cls.refined, cls.form) == before
 
 
-# ---------------------------------------------------------------------------
-# atlas rows straight from integer slopes against the record path: the
-# universe against a test-local copy of its Fraction.of filter, the
-# integer rule against the classifications, and the literal all-equal
-# rows against the rows of their classifications
-# ---------------------------------------------------------------------------
-
-def filtered_universe(max_den):
-    """`fraction_universe` as it was: Fraction.of over the whole window,
-    kept when already reduced with that denominator."""
-    out = [Fraction(1, 0)]
-    for den in range(1, max_den + 1):
-        for num in range(-max_den, max_den + 1):
-            f = Fraction.of(num, den)
-            if f.den == den:
-                out.append(f)
-    return out
-
-
 class TestRowsFromIntegers:
     def test_universe_every_cap_to_40(self):
         for max_den in range(41):
-            assert fraction_universe(max_den) == filtered_universe(max_den), max_den
+            assert fraction_universe(max_den) == oracle_universe(max_den), max_den
 
     def test_negative_cap_refused(self):
         with pytest.raises(NotNeighbors):
@@ -556,20 +507,19 @@ class TestRowsFromIntegers:
             next(atlas_rows(-1))
 
     def test_all_equal_rows_are_their_classifications_rows(self):
-        universe = fraction_universe(30)
+        universe = oracle_universe(30)
         assert universe[0] == Fraction(1, 0) and min(s.num for s in universe) == -30
         rows = [row for row in atlas_rows(30) if row["kind"] == "AllEqual"]
         assert len(rows) == len(universe)
         for s, row in zip(universe, rows):
-            t = FareyTriple(s, s, s)
-            assert list(row.items()) == list(fresh_row(t, classify(t)).items()), str(s)
+            assert tuple(row.items()) == oracle_row(FareyTriple(s, s, s)), str(s)
 
     @settings(max_examples=400, deadline=None)
     @given(slope_triples(2 ** 80))
     def test_integer_rule_is_the_classification(self, t):
         x, y, z = t
         cls = _class_of(x.num, x.den, y.num, y.den, z.num, z.den)
-        expected = count_classify(t)
+        expected = oracle_classify(t)
         assert classify(t) == expected, str(t)
         if expected.kind == "AllEqual":
             assert cls is None, str(t)

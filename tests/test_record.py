@@ -294,6 +294,8 @@ BAD = [
      "k = (1, -1, 1): sector genera must be >= 0"),
     (lambda: TrisectionParams(1, (2, 0, 0)), DiagramError,
      "k = (2, 0, 0): closed parameters need k_i <= g = 1"),
+    (lambda: TrisectionParams(1, (1, 1, 1), 0, 5), DiagramError,
+     "bridge must be BridgeData or None, got int"),
     (lambda: ClosedPage(-1), DiagramError, "page genus must be >= 0"),
     (lambda: BoundaryCircles(0), CellDecompositionMismatch, "boundary-circle pasting needs n >= 1"),
     (lambda: PastingInput(P1, P1, 1), DiagramError, "unknown pasting mode 1"),
@@ -342,6 +344,10 @@ BAD = [
     (lambda: SlideMove("Hop"), IllegalMove, "unknown move kind 'Hop'"),
     (lambda: SlideMove("ExtendB1"), IllegalMove, "move ExtendB1 argument mismatch"),
     (lambda: SlideMove("ShrinkA2", 1), IllegalMove, "move ShrinkA2 argument mismatch"),
+    (lambda: SlideMove("ExtendB1", True), IllegalMove,
+     "move ExtendB1 argument must be an integer, got True"),
+    (lambda: SlideMove("ExtendB1", 1.5), IllegalMove,
+     "move ExtendB1 argument must be an integer, got 1.5"),
 ]
 
 

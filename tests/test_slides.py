@@ -35,59 +35,13 @@ def inversions(word):
     return total
 
 
-def reference_apply_move(s, mv):
-    """The move engine as first written: one checked SlideState(...) per
-    move, so every word is scanned against the alphabet again."""
-    w1, w2, w3, t3, t1 = s.w1, s.w2, s.w3, s.t3, s.t1
-
-    def illegal(why):
-        return IllegalMove(f"{mv}: {why} [{mv.anchor}]")
-
-    if mv.kind == "ExtendB1":
-        count = mv.arg
-        if count < 1 or count > len(w3):
-            raise illegal(f"w3 = {w3!r} has no prefix of length {count}")
-        w2, w3 = w2 + w3[:count], w3[count:]
-    elif mv.kind == "CommuteLambdaMu":
-        pos = mv.arg
-        if pos < 0 or pos + 1 >= len(w2) or w2[pos] != "L" or w2[pos + 1] != "M":
-            raise illegal(f"w2 = {w2!r} has no lambda-mu pair at {pos}")
-        w2 = w2[:pos] + "ML" + w2[pos + 2:]
-    elif mv.kind == "SlideA1OverAlpha":
-        if w1 != "M":
-            raise illegal(f"w1 = {w1!r}, need a lone mu")
-        w1, t3 = "", t3 + 1
-    elif mv.kind == "ShrinkA2":
-        if w1 != "":
-            raise illegal("a1 still crosses something (w1 nonempty)")
-        if "M" in w2:
-            raise illegal(f"w2 = {w2!r} is not a lambda run")
-        w2, w3 = "", w2 + w3
-    elif mv.kind == "SlideA2OverBeta":
-        if w1 != "" or w3 != "":
-            raise illegal("w1 and w3 must be empty")
-        if len(w2) < 1 or "M" in w2:
-            raise illegal(f"w2 = {w2!r} is not a nonempty lambda run")
-        if len(w2) >= 2:
-            w2, t1 = w2[1:], t1 + 1
-        else:
-            w2 = ""
-    if mv.kind in ("ExtendB1", "CommuteLambdaMu") and w1 == "" and w2.startswith("M"):
-        w1, w2 = "M", w2[1:]
-    return SlideState(w1, w2, w3, t3, t1, s.target)
-
-
-def reference_trace_lines(initial, trace):
-    out = []
-    s = initial
-    for mv in trace:
-        s = reference_apply_move(s, mv)
-        out.append(f"MOVE {mv} | {format_state(s)}")
-    return out
-
-
 def fields(s):
     return (s.w1, s.w2, s.w3, s.t3, s.t1, s.target)
+
+
+def checked_move(s, mv):
+    """apply_move, its state then built and checked by SlideState(...)."""
+    return SlideState(*fields(apply_move(s, mv)))
 
 
 def _states(s, trace):
@@ -97,37 +51,43 @@ def _states(s, trace):
         yield s
 
 
+class Stepwise:
+    """A reduction as a move-by-move search through the checked engine:
+    each move is applied by checked_move, and its trace line is printed
+    from the checked state by format_state."""
+
+    def __init__(self, s):
+        self.state, self.trace, self.lines = s, [], []
+
+    def step(self, mv):
+        self.state = checked_move(self.state, mv)
+        self.trace.append(mv)
+        self.lines.append(f"MOVE {mv} | {format_state(self.state)}")
+
+
 def stepwise_reduce_mu(s):
-    """The reducer as a move-by-move search through the checked engine:
-    find the first mu of w3, push it out, commute it to the front, slide
-    it off a1 and shrink a2 back, until no mu is left."""
-    trace = []
-
-    def step(state, mv):
-        trace.append(mv)
-        return apply_move(state, mv)
-
-    while "M" in s.w3:
-        j = s.w3.index("M")
-        s = step(s, SlideMove("ExtendB1", j + 1))
+    """Find the first mu of w3, push it out, commute it to the front,
+    slide it off a1 and shrink a2 back, until no mu is left."""
+    run = Stepwise(s)
+    while "M" in run.state.w3:
+        j = run.state.w3.index("M")
+        run.step(SlideMove("ExtendB1", j + 1))
         for pos in range(j - 1, -1, -1):
-            s = step(s, SlideMove("CommuteLambdaMu", pos))
-        s = step(s, SlideMove("SlideA1OverAlpha"))
-        s = step(s, SlideMove("ShrinkA2"))
-    return s, trace
+            run.step(SlideMove("CommuteLambdaMu", pos))
+        run.step(SlideMove("SlideA1OverAlpha"))
+        run.step(SlideMove("ShrinkA2"))
+    return run
 
 
 def stepwise_reduce_full(s):
     n = s.target[1]
     if n == 0:
         raise NotApplicable("reduction to empty words needs at least one lambda")
-    s, trace = stepwise_reduce_mu(s)
-    trace.append(SlideMove("ExtendB1", n))
-    s = apply_move(s, trace[-1])
+    run = stepwise_reduce_mu(s)
+    run.step(SlideMove("ExtendB1", n))
     for _ in range(n):
-        trace.append(SlideMove("SlideA2OverBeta"))
-        s = apply_move(s, trace[-1])
-    return s, trace
+        run.step(SlideMove("SlideA2OverBeta"))
+    return run
 
 
 def shuffles(m, n):
@@ -163,6 +123,34 @@ class TestStateAndWords:
         assert mu_conserved(s) and lambda_conserved(s)
 
 
+def legal(s, mv):
+    """Whether mv applies to s: each move's domain, as its anchor states it."""
+    k = mv.arg
+    return {
+        "ExtendB1": lambda: 1 <= k <= len(s.w3),
+        "CommuteLambdaMu": lambda: k >= 0 and s.w2[k:k + 2] == "LM",
+        "SlideA1OverAlpha": lambda: s.w1 == "M",
+        "ShrinkA2": lambda: s.w1 == "" and "M" not in s.w2,
+        "SlideA2OverBeta": lambda: s.w1 == s.w3 == "" and s.w2 != "" and "M" not in s.w2,
+    }[mv.kind]()
+
+
+def curve_after(s, mv):
+    """(w1 + w2 + w3, t3, t1) after a legal move: a commute swaps one
+    lambda-mu pair, a slide of a1 trades the lone mu in front for a twist
+    t3, a slide of a2 the lambda in front for a twist t1 (the last lambda
+    for none), and ExtendB1 and ShrinkA2 only move the cuts."""
+    word, t3, t1 = s.w1 + s.w2 + s.w3, s.t3, s.t1
+    if mv.kind == "CommuteLambdaMu":
+        at = len(s.w1) + mv.arg
+        word = word[:at] + "ML" + word[at + 2:]
+    elif mv.kind == "SlideA1OverAlpha":
+        word, t3 = word[1:], t3 + 1
+    elif mv.kind == "SlideA2OverBeta":
+        word, t1 = word[1:], t1 + (len(word) > 1)
+    return word, t3, t1
+
+
 # (state, move) -> why the move is refused, as its IllegalMove message says
 ILLEGAL_MOVES = {
     (SlideState("", "", "", 0, 0, (0, 0)), SlideMove("ExtendB1", 1)):
@@ -176,6 +164,22 @@ ILLEGAL_MOVES = {
     (SlideState("", "ML", "", 0, 0, (1, 1)), SlideMove("SlideA2OverBeta")):
         "w2 = 'ML' is not a nonempty lambda run",
     (SlideState("", "", "L", 0, 0, (0, 1)), SlideMove("SlideA2OverBeta")):
+        "w1 and w3 must be empty",
+    (SlideState("", "", "L", 0, 0, (0, 1)), SlideMove("ExtendB1", 0)):
+        "w3 = 'L' has no prefix of length 0",
+    (SlideState("", "", "L", 0, 0, (0, 1)), SlideMove("ExtendB1", 2)):
+        "w3 = 'L' has no prefix of length 2",
+    (SlideState("M", "LM", "", 0, 0, (2, 1)), SlideMove("CommuteLambdaMu", -1)):
+        "w2 = 'LM' has no lambda-mu pair at -1",
+    (SlideState("M", "LM", "", 0, 0, (2, 1)), SlideMove("CommuteLambdaMu", 1)):
+        "w2 = 'LM' has no lambda-mu pair at 1",
+    (SlideState("M", "LL", "", 0, 0, (1, 2)), SlideMove("CommuteLambdaMu", 0)):
+        "w2 = 'LL' has no lambda-mu pair at 0",
+    (SlideState("", "LM", "", 0, 0, (1, 1)), SlideMove("ShrinkA2")):
+        "w2 = 'LM' is not a lambda run",
+    (SlideState("", "", "", 0, 0, (0, 0)), SlideMove("SlideA2OverBeta")):
+        "w2 = '' is not a nonempty lambda run",
+    (SlideState("M", "L", "", 0, 0, (1, 1)), SlideMove("SlideA2OverBeta")):
         "w1 and w3 must be empty",
 }
 
@@ -345,10 +349,10 @@ class TestClosedFormAgainstStepwise:
     def test_reduce_mu(self, word):
         s = initial_state(word)
         final, trace = reduce_mu(s)
-        ref_final, ref_trace = stepwise_reduce_mu(s)
-        assert final == ref_final
-        assert trace == ref_trace
-        assert trace_lines(s, trace) == reference_trace_lines(s, ref_trace)
+        ref = stepwise_reduce_mu(s)
+        assert final == ref.state
+        assert trace == ref.trace
+        assert trace_lines(s, trace) == ref.lines
 
     @settings(max_examples=25, deadline=None)
     @given(words())
@@ -359,10 +363,10 @@ class TestClosedFormAgainstStepwise:
                 reduce_full(s)
             return
         final, trace = reduce_full(s)
-        ref_final, ref_trace = stepwise_reduce_full(s)
-        assert final == ref_final
-        assert trace == ref_trace
-        assert trace_lines(s, trace) == reference_trace_lines(s, ref_trace)
+        ref = stepwise_reduce_full(s)
+        assert final == ref.state
+        assert trace == ref.trace
+        assert trace_lines(s, trace) == ref.lines
 
     def test_errors_checked_before_applicability(self):
         # a non-initial state is refused as malformed even without lambdas
@@ -371,8 +375,8 @@ class TestClosedFormAgainstStepwise:
 
 
 class TestEngineAgainstReference:
-    """The field-stepping engine against the engine as first written,
-    which rebuilt and re-checked a SlideState after every move."""
+    """The field-stepping engine against the definitions of the moves and
+    the checked construction of every state it passes through."""
 
     @settings(max_examples=25, deadline=None)
     @given(words(), st.booleans())
@@ -381,7 +385,7 @@ class TestEngineAgainstReference:
         if full and s.target[1] == 0:
             return
         final, trace = (reduce_full if full else reduce_mu)(s)
-        assert trace_lines(s, trace) == reference_trace_lines(s, trace)
+        assert trace_lines(s, trace) == (stepwise_reduce_full if full else stepwise_reduce_mu)(s).lines
         assert replay(s, trace) == final
 
     @settings(max_examples=25, deadline=None)
@@ -401,7 +405,7 @@ class TestEngineAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(words(max_len=12), st.data())
     def test_any_move_from_any_reachable_state(self, word, data):
-        # legal or not, apply_move gives the reference's state or message
+        # legal or not, apply_move does what the move's definition says
         s = initial_state(word)
         _, trace = (reduce_full if s.target[1] else reduce_mu)(s)
         states = [s] + list(_states(s, trace))
@@ -410,15 +414,20 @@ class TestEngineAgainstReference:
         arg = (data.draw(st.integers(-1, len(word) + 1))
                if kind in ("ExtendB1", "CommuteLambdaMu") else None)
         mv = SlideMove(kind, arg)
-        try:
-            expect = reference_apply_move(state, mv)
-        except IllegalMove as e:
+        if not legal(state, mv):
             with pytest.raises(IllegalMove) as err:
                 apply_move(state, mv)
-            assert str(err.value) == str(e)
-        else:
-            got = apply_move(state, mv)
-            assert fields(got) == fields(expect)
+            assert str(err.value).startswith(f"{mv}: ")
+            assert str(err.value).endswith(f" [{mv.anchor}]")
+            return
+        got = checked_move(state, mv)
+        assert (got.w1 + got.w2 + got.w3, got.t3, got.t1) == curve_after(state, mv)
+        # a leading mu of w2 hops onto a free a1
+        assert not (got.w1 == "" and got.w2.startswith("M"))
+        if kind == "ExtendB1":
+            assert len(got.w3) == len(state.w3) - arg
+        if kind == "ShrinkA2":
+            assert got.w2 == ""
 
     def test_public_constructor_still_checks(self):
         with pytest.raises(MalformedWord):

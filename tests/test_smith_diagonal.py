@@ -1,31 +1,33 @@
 """Differential tests for the Smith kernels.
 
-`smith_diagonal` must agree with the diagonal of `smith_normal_form` (the
-reference that also builds U and V) and with sympy's Smith form, on random
-matrices and on block sums of Farey homology models whose H1 is known in
-closed form; `_smith_rows`, the sparse kernel under it, must give that
-diagonal off the rows of a matrix and off those of its transpose, under
-any column keys.  `smith_normal_form`, which runs the shared pivot loop on a
-bordered matrix, must return exactly the (U, S, V) of the earlier
-implementation pinned below, which kept U and V by explicit row and column
-operations.  H1 of a diagram whose alpha spans a primitive Lagrangian,
-read off the alpha pairing matrix, must agree with the cokernel of the
-full class matrix.
+Each kernel is checked against the definition of a Smith form.
+`smith_normal_form` must return (U, S, V) that `verify_smith` accepts:
+U M V = S, U and V unimodular, S diagonal, nonnegative and a divisibility
+chain.  `smith_diagonal` must give the diagonal of that S, certified so,
+and the diagonal of sympy's Smith form, on random matrices and on block
+sums of Farey homology models whose H1 is known in closed form;
+`_smith_rows`, the sparse kernel under it, must give that diagonal off
+the rows of a matrix and off those of its transpose, under any column
+keys.  H1 of a diagram whose alpha spans a primitive Lagrangian, read off
+the alpha pairing matrix, must agree with the cokernel of the full class
+matrix.
 """
 
 import random
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from trisect import diagram, invariants, zmatrix
 from trisect.calculus import poke
 from trisect.diagram import SYSTEM_NAMES, CurveSystem, StarDiagram, SymplecticLattice, _violations
 from trisect.farey import enumerate_triples, farey_homology_model
 from trisect.invariants import first_homology
-from trisect.zmatrix import check_int_matrix, dims, identity, mat_copy, smith_diagonal, smith_normal_form
+from trisect.zmatrix import dims, smith_diagonal, smith_normal_form
 
 from test_zmatrix import verify_smith
 
@@ -56,14 +58,13 @@ def matrices(draw, entries=st.integers(-9, 9)):
 
 
 def reference_diagonal(m):
-    _, s, _ = smith_normal_form(m)
+    """The diagonal of the Smith form of m, certified by `verify_smith`."""
+    u, s, v = smith_normal_form(m)
+    verify_smith(m, u, s, v)
     return [s[i][i] for i in range(min(dims(m)))]
 
 
 def sympy_factors(m):
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
     ref = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
     return sorted(abs(int(x)) for x in ref.diagonal() if x != 0)
 
@@ -143,107 +144,11 @@ class TestSmithRows:
             assert zmatrix._smith_rows(sparse) == want
 
 
-def pinned_smith_normal_form(m):
-    """The earlier smith_normal_form, verbatim but for its name."""
-    check_int_matrix(m)
-    r, c = dims(m)
-    s = mat_copy(m)
-    u = identity(r)
-    v = identity(c)
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_add(i, j, k):
-        # row_i += k * row_j
-        s[i] = [a + k * b for a, b in zip(s[i], s[j])]
-        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
-
-    def row_neg(i):
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
-
-    def col_swap(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_add(i, j, k):
-        # col_i += k * col_j
-        for row in s:
-            row[i] += k * row[j]
-        for row in v:
-            row[i] += k * row[j]
-
-    n = min(r, c)
-    for t in range(n):
-        while True:
-            # locate a pivot: smallest nonzero magnitude in the block
-            pi = pj = -1
-            best = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    x = abs(s[i][j])
-                    if x and (best is None or x < best):
-                        best, pi, pj = x, i, j
-            if best is None:
-                break
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            # clear column t, restarting if a smaller remainder shows up
-            dirty = False
-            for i in range(t + 1, r):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    row_add(i, t, -q)
-                    if s[i][t]:
-                        dirty = True
-            for j in range(t + 1, c):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    col_add(j, t, -q)
-                    if s[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot divides the whole remaining block?
-            p = s[t][t]
-            culprit = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if s[i][j] % p:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            row_add(t, culprit, 1)
-        if t < r and t < c and s[t][t] < 0:
-            row_neg(t)
-    return u, s, v
-
-
 BIG = st.integers(-10**6, 10**6)
 
 
 class TestBorderedSmithNormalForm:
-    """The bordered pivot loop makes the pinned implementation's operations
-    in the same order, so (U, S, V) must match entry for entry."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(matrices())
-    def test_matches_pinned(self, m):
-        assert smith_normal_form(m) == pinned_smith_normal_form(m)
-
-    @settings(max_examples=100, deadline=None)
-    @given(matrices(BIG))
-    def test_matches_pinned_large_entries(self, m):
-        assert smith_normal_form(m) == pinned_smith_normal_form(m)
+    """(U, S, V) against the definition of a Smith normal form."""
 
     @settings(max_examples=150, deadline=None)
     @given(matrices())

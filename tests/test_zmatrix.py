@@ -4,11 +4,12 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import trisect
 from trisect import zmatrix
@@ -22,11 +23,9 @@ from trisect.zmatrix import (
     SIGMA_23,
     SIGMA_31,
     SL3Word,
-    check_int_matrix,
     classify_unimodular,
     cokernel_invariants,
     determinant,
-    dims,
     gen_matrix,
     identity,
     is_unimodular,
@@ -69,73 +68,27 @@ def random_unimodular(rng, n, steps=12):
     return u
 
 
-def rational_sym_form_invariants(q):
-    """Reference for `sym_form_invariants`: its earlier implementation,
-    which computes det by Bareiss and then eliminates q a second time over
-    the rationals.
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    Signature comes from congruence diagonalization over the rationals with
-    symmetric pivoting; a zero diagonal with nonzero off-diagonal entry is
-    handled by the x -> x + y basis move.  Parity is Even iff every diagonal
-    entry of q is even (equivalently q(x,x) is even for all x).
-    """
-    check_int_matrix(q, "form")
-    n, c = dims(q)
-    if n != c:
-        raise FormUndefined(f"form must be square, got {n}x{c}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if q[i][j] != q[j][i]:
-                raise FormUndefined(f"form not symmetric at ({i},{j})")
 
-    det = determinant(q)
+def sympy_form_invariants(q):
+    """The invariants of a symmetric form by their definitions, off its
+    characteristic polynomial p(x) = det(x I - q), from sympy: rank and
+    signature count its nonzero, positive and negative roots, det is
+    (-1)^n p(0), and parity is Even iff every diagonal entry is even
+    (q(x, x) is then even for every x).  p has only real roots, so by
+    Descartes' rule of signs its positive roots, with multiplicity, number
+    the sign changes of its coefficients, and its negative roots those of
+    p(-x)."""
+    n = len(q)
+    coeffs = sympy.Matrix(n, n, [x for row in q for x in row]).charpoly().all_coeffs()
+    pos = sign_changes(coeffs)
+    neg = sign_changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
     parity = "Even" if all(q[i][i] % 2 == 0 for i in range(n)) else "Odd"
-
-    a = [[Fraction(x) for x in row] for row in q]
-
-    def sym_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def sym_add(i, j, f):
-        # basis move x_i -> x_i + f * x_j : row then column
-        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] += f * row[j]
-
-    pos = neg = 0
-    for t in range(n):
-        if a[t][t] == 0:
-            # look for a later nonzero diagonal entry first
-            piv = next((i for i in range(t + 1, n) if a[i][i] != 0), None)
-            if piv is not None:
-                sym_swap(t, piv)
-            else:
-                # all remaining diagonal zero: find any off-diagonal entry
-                hit = None
-                for i in range(t, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            hit = (i, j)
-                            break
-                    if hit:
-                        break
-                if hit is None:
-                    break  # remaining block is zero
-                i, j = hit
-                sym_add(i, j, Fraction(1))  # makes a[i][i] = 2*a[i][j] != 0
-                if i != t:
-                    sym_swap(t, i)
-        d = a[t][t]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(t + 1, n):
-            if a[i][t] != 0:
-                sym_add(i, t, -a[i][t] / d)
-    return FormInvariants(rank=pos + neg, signature=pos - neg, parity=parity, det=det)
+    return FormInvariants(rank=pos + neg, signature=pos - neg, parity=parity,
+                          det=int((-1) ** n * coeffs[-1]))
 
 
 @st.composite
@@ -211,9 +164,6 @@ class TestSmith:
             verify_smith(m, u, s, v)
 
     def test_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
         rng = random.Random(11)
         for _ in range(40):
             r = rng.randint(1, 5)
@@ -311,23 +261,14 @@ class TestFormInvariants:
             assert sym_form_invariants(q) == sym_form_invariants(q2)
 
     def test_signature_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
         rng = random.Random(23)
         for _ in range(25):
-            n = rng.randint(1, 4)
-            q = random_symmetric(rng, n, -6, 6)
-            inv = sym_form_invariants(q)
-            # exact real-root counts of the characteristic polynomial
-            poly = sympy.Poly(sympy.Matrix(q).charpoly().as_expr())
-            zero = poly.count_roots(0, 0)
-            pos = poly.count_roots(0, sympy.oo) - zero
-            neg = poly.count_roots(-sympy.oo, 0) - zero
-            assert inv.signature == pos - neg
-            assert inv.rank == pos + neg
+            q = random_symmetric(rng, rng.randint(1, 4), -6, 6)
+            assert sym_form_invariants(q) == sympy_form_invariants(q)
 
 
 class TestFormBareiss:
-    """sym_form_invariants (one Bareiss pass) against references."""
+    """sym_form_invariants (one Bareiss pass) against sympy."""
 
     @settings(max_examples=300, deadline=None)
     @given(symmetric_forms())
@@ -335,17 +276,8 @@ class TestFormBareiss:
     @example([[0, 0, 0], [0, 0, 5], [0, 5, 0]])
     @example([[0, 0], [0, 0]])
     @example([[1, 1], [1, 1]])
-    def test_matches_rational_oracle(self, q):
-        assert sym_form_invariants(q) == rational_sym_form_invariants(q)
-
-    @settings(max_examples=100, deadline=None)
-    @given(symmetric_forms())
-    def test_det_and_rank_against_sympy(self, q):
-        sympy = pytest.importorskip("sympy")
-        m = sympy.Matrix(len(q), len(q), [x for row in q for x in row])
-        inv = sym_form_invariants(q)
-        assert inv.det == m.det()
-        assert inv.rank == m.rank()
+    def test_matches_sympy(self, q):
+        assert sym_form_invariants(q) == sympy_form_invariants(q)
 
     def test_fractions_never_imported(self):
         code = (
@@ -362,6 +294,17 @@ class TestFormBareiss:
         assert out.stdout.strip() == "False"
 
 
+def check_word(m, word):
+    """An SL3 word for m by definition: its product is m, within the
+    documented length bounds."""
+    assert word.product() == m
+    # documented generous cap on word growth
+    maxabs = max(abs(x) for row in m for x in row)
+    assert len(word) <= 200 + 60 * max(1, maxabs.bit_length())
+    # tight: 5 letters per conjugated shear, 2 per sign fix
+    assert len(word) <= 5 * sum(g.kind == "e" for g in word.factors) + 4
+
+
 class TestSL3:
     def test_generator_shapes(self):
         assert SIGMA_23 == [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
@@ -372,16 +315,16 @@ class TestSL3:
         assert shear(5) == [[1, 5, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_generator_inverses(self):
-        for kind in ("s12", "s23", "s31"):
+        for kind in ("s12", "s23", "s31", "s12i", "s23i", "s31i"):
             g = Gen(kind)
             assert mat_mul(gen_matrix(g), gen_matrix(g.inverse())) == identity(3)
+            assert g.inverse().inverse() == g
         assert mat_mul(gen_matrix(Gen("e", 4)), gen_matrix(Gen("e", 4).inverse())) == identity(3)
 
     def test_factor_identity_and_generators(self):
-        assert sl3_factor(identity(3)).product() == identity(3)
+        check_word(identity(3), sl3_factor(identity(3)))
         for g in (Gen("s12"), Gen("s23"), Gen("s31"), Gen("e", 3), Gen("e", -2)):
-            m = gen_matrix(g)
-            assert sl3_factor(m).product() == m
+            check_word(gen_matrix(g), sl3_factor(gen_matrix(g)))
 
     def test_factor_random_words(self):
         rng = random.Random(29)
@@ -393,13 +336,7 @@ class TestSL3:
                 kind = rng.choice(kinds)
                 g = Gen(kind, rng.randint(-4, 4)) if kind == "e" else Gen(kind)
                 m = mat_mul(m, gen_matrix(g))
-            word = sl3_factor(m)
-            assert word.product() == m
-            # documented generous cap on word growth
-            maxabs = max(abs(x) for row in m for x in row)
-            assert len(word) <= 200 + 60 * max(1, maxabs.bit_length())
-            # tight: 5 letters per conjugated shear, 2 per sign fix
-            assert len(word) <= 5 * sum(g.kind == "e" for g in word.factors) + 4
+            check_word(m, sl3_factor(m))
 
     def test_conjugator_table_matches_search(self):
         assert zmatrix._CONJ == {
@@ -431,9 +368,7 @@ class TestSL3:
             m[i] = [a + k * b for a, b in zip(m[i], m[j])]
         for i in negated:
             m[i] = [-x for x in m[i]]
-        word = sl3_factor(m)
-        assert word.factors == _sl3_factor_by_products(m)
-        assert word.product() == m
+        check_word(m, sl3_factor(m))
 
     def test_rejects_non_sl3(self):
         with pytest.raises(NotSL3):
@@ -444,52 +379,6 @@ class TestSL3:
             sl3_factor([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # det -1
         with pytest.raises(NotSL3):
             sl3_factor([[1, 0, 0], [0, 1, 0], [0, 0.5, 1]])
-
-
-def _sl3_factor_by_products(m):
-    """sl3_factor's reduction with each letter applied as a full 3x3 product
-    gen_matrix(g) . a; returns the factors of its word."""
-    a = [list(row) for row in m]
-    hist = []
-
-    def apply(gen):
-        nonlocal a
-        a = mat_mul(gen_matrix(gen), a)
-        hist.append(gen)
-
-    def row_add(i, j, k):
-        for g in reversed(zmatrix._row_add_word(i, j, k)):
-            apply(g)
-
-    def reduce_column(col, rows):
-        while True:
-            nz = [r for r in rows if a[r][col] != 0]
-            if len(nz) <= 1:
-                return nz[0] if nz else None
-            piv = min(nz, key=lambda r: abs(a[r][col]))
-            for r in nz:
-                if r != piv:
-                    row_add(r, piv, -(a[r][col] // a[piv][col]))
-
-    lone = reduce_column(0, [0, 1, 2])
-    if lone != 0:
-        row_add(0, lone, a[lone][0])
-        row_add(lone, 0, -a[lone][0])
-    elif a[0][0] < 0:
-        apply(Gen("s12"))
-        apply(Gen("s12"))
-    lone = reduce_column(1, [1, 2])
-    if lone == 2:
-        row_add(1, 2, a[2][1])
-        row_add(2, 1, -a[2][1])
-    elif a[1][1] < 0:
-        apply(Gen("s23"))
-        apply(Gen("s23"))
-    row_add(1, 2, -a[1][2])
-    row_add(0, 2, -a[0][2])
-    row_add(0, 1, -a[0][1])
-    assert a == identity(3)
-    return tuple(g.inverse() for g in hist)
 
 
 def _conjugator_search():
