@@ -70,8 +70,7 @@ class PastingInput(Record):
         if not isinstance(mode, (ClosedPage, BoundaryCircles)):
             raise DiagramError(f"unknown pasting mode {mode!r}")
         if common is not None:
-            if not (isinstance(common, (list, tuple)) and len(common) == 3
-                    and all(map(_is_int, common)) and min(common) >= 0):
+            if not _is_count_triple(common):
                 raise DiagramError("common-curve counts must be three ints >= 0")
             if isinstance(mode, ClosedPage):
                 raise DiagramError("common-curve counts apply only to boundary-circle pasting")
@@ -83,6 +82,12 @@ def _require_params(what: str, left, right) -> None:
     if not (isinstance(left, TrisectionParams) and isinstance(right, TrisectionParams)):
         raise DiagramError(f"{what} needs two TrisectionParams, got "
                            f"{type(left).__name__} and {type(right).__name__}")
+
+
+def _is_count_triple(counts) -> bool:
+    """Whether counts is a list or tuple of three ints >= 0."""
+    return (isinstance(counts, (list, tuple)) and len(counts) == 3
+            and all(map(_is_int, counts)) and min(counts) >= 0)
 
 
 def paste(inp: PastingInput) -> TrisectionParams:
@@ -159,8 +164,7 @@ def destabilize(p: TrisectionParams, sector: int, times: int = 1) -> TrisectionP
 def poke(d: StarDiagram, counts: Tuple[int, int, int]) -> StarDiagram:
     """Puncture the surface away from all curves, once per requested count,
     and add the puncture boundaries (null classes) to the systems."""
-    if not (isinstance(counts, (list, tuple)) and len(counts) == 3
-            and all(map(_is_int, counts)) and min(counts) >= 0):
+    if not _is_count_triple(counts):
         raise DiagramError("poke counts must be three ints >= 0")
     zero = tuple([0] * (2 * d.genus))
     systems = []
@@ -189,9 +193,9 @@ def curve_complement(p: TrisectionParams, arcs: Tuple[int, int, int]) -> Complem
     The closure genus is what a genus-0 filling glued along all 3a circles
     would produce.
     """
-    if not all(map(_is_int, arcs)):
+    if not (isinstance(arcs, (list, tuple)) and all(map(_is_int, arcs))):
         raise DiagramError(f"arc counts must be integers, got {arcs!r}")
-    if len(arcs) != 3 or any(a < 0 for a in arcs):
+    if not _is_count_triple(arcs):
         raise CellDecompositionMismatch("arc counts must be three ints >= 0")
     if len(set(arcs)) != 1:
         raise CellDecompositionMismatch(
@@ -211,17 +215,21 @@ def curve_complement(p: TrisectionParams, arcs: Tuple[int, int, int]) -> Complem
 # ---------------------------------------------------------------------------
 
 class RibbonGraph(Record):
-    """Graph with a rotation system: rotations[v] lists the darts at vertex
-    v in cyclic order; each edge is an unordered pair of darts."""
+    """Graph with a rotation system: rotations[v] is the tuple of int darts
+    at vertex v in cyclic order, edges a tuple of int pairs of darts (bool
+    is not an int).  Each dart lies in one rotation slot and one edge."""
     __slots__ = ("rotations", "edges")
 
-    def __init__(
-        self,
-        rotations: Tuple[Tuple[int, ...], ...],
-        edges: Tuple[Tuple[int, int], ...],
-    ):
+    def __init__(self, rotations: Tuple[Tuple[int, ...], ...],
+                 edges: Tuple[Tuple[int, int], ...]):
+        if not (isinstance(rotations, tuple) and all(
+                isinstance(rot, tuple) and all(map(_is_int, rot)) for rot in rotations)):
+            raise DiagramError("rotations must be a tuple of int tuples")
+        if not (isinstance(edges, tuple) and all(
+                isinstance(e, tuple) and len(e) == 2 and all(map(_is_int, e)) for e in edges)):
+            raise DiagramError("edges must be a tuple of int pairs")
         seen = set()
-        for v, rot in enumerate(rotations):
+        for rot in rotations:
             for dart in rot:
                 if dart in seen:
                     raise DiagramError(f"dart {dart} appears at two rotation slots")
@@ -236,9 +244,8 @@ class RibbonGraph(Record):
                 if dart in used:
                     raise DiagramError(f"dart {dart} used by two edges")
                 used.add(dart)
-        dangling = seen - used
-        if dangling:
-            raise DiagramError(f"dangling darts with no edge: {sorted(dangling)}")
+        if used != seen:
+            raise DiagramError(f"dangling darts with no edge: {sorted(seen - used)}")
         self._store(rotations, edges)
 
     @property
@@ -249,45 +256,22 @@ class RibbonGraph(Record):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def _partner(self) -> Dict[int, int]:
-        out = {}
-        for a, b in self.edges:
-            out[a] = b
-            out[b] = a
-        return out
-
-    def _successor(self) -> Dict[int, int]:
-        out = {}
-        for rot in self.rotations:
-            for i, dart in enumerate(rot):
-                out[dart] = rot[(i + 1) % len(rot)]
-        return out
-
-    def _vertex_of(self) -> Dict[int, int]:
-        out = {}
-        for v, rot in enumerate(self.rotations):
-            for dart in rot:
-                out[dart] = v
-        return out
-
     def faces(self) -> List[Tuple[int, ...]]:
-        """Orbits of dart -> successor(partner(dart)): one per boundary
-        component of the thickened graph."""
-        partner = self._partner()
-        succ = self._successor()
-        remaining = set(partner)
+        """Orbits of dart -> successor(partner(dart)), each from its least
+        dart: one per boundary circle of the thickened graph."""
+        partner = {}
+        for a, b in self.edges:
+            partner[a], partner[b] = b, a
+        succ = {d: s for rot in self.rotations for d, s in zip(rot, rot[1:] + rot[:1])}
         out = []
-        while remaining:
-            start = min(remaining)
-            cycle = []
+        for start in sorted(partner):
+            face = []
             d = start
-            while True:
-                cycle.append(d)
-                remaining.discard(d)
-                d = succ[partner[d]]
-                if d == start:
-                    break
-            out.append(tuple(cycle))
+            while d in partner:  # a traced dart leaves partner; the orbit ends at start
+                face.append(d)
+                d = succ[partner.pop(d)]
+            if face:
+                out.append(tuple(face))
         return out
 
     def components(self) -> List[Tuple[int, ...]]:
@@ -296,15 +280,13 @@ class RibbonGraph(Record):
 
         def find(x: int) -> int:
             while parent[x] != x:
-                parent[x] = parent[parent[x]]
+                parent[x] = parent[parent[x]]  # path halving
                 x = parent[x]
             return x
 
-        vertex_of = self._vertex_of()
+        vertex_of = {d: v for v, rot in enumerate(self.rotations) for d in rot}
         for a, b in self.edges:
-            ra, rb = find(vertex_of[a]), find(vertex_of[b])
-            if ra != rb:
-                parent[ra] = rb
+            parent[find(vertex_of[a])] = find(vertex_of[b])
         groups: Dict[int, List[int]] = {}
         for v in range(self.vertex_count):
             groups.setdefault(find(v), []).append(v)
@@ -328,35 +310,16 @@ def shadow_boundary_curves(rg: RibbonGraph) -> Tuple[int, int]:
 
     A component thickens to a disk exactly when it is a tree; its single
     boundary circle is then parallel to the puncture it came from.  Every
-    other traced face encircles essential graph structure.
+    other traced face encircles essential graph structure.  As each dart
+    lies in one edge, a component of V vertices is a tree exactly when it
+    has 2(V - 1) darts; a tree traces one face unless it is a bare vertex.
     """
-    vertex_of = rg._vertex_of()
-    edge_count: Dict[int, int] = {}
-    face_count: Dict[int, int] = {}
-    comp_of: Dict[int, int] = {}
-    comps = rg.components()
-    for idx, vs in enumerate(comps):
-        for v in vs:
-            comp_of[v] = idx
-    for a, _b in rg.edges:
-        c = comp_of[vertex_of[a]]
-        edge_count[c] = edge_count.get(c, 0) + 1
-    for face in rg.faces():
-        c = comp_of[vertex_of[face[0]]]
-        face_count[c] = face_count.get(c, 0) + 1
-    boundary_parallel = 0
-    essential = 0
-    for idx, vs in enumerate(comps):
-        e = edge_count.get(idx, 0)
-        f = face_count.get(idx, 0)
-        if e == 0:
-            # bare vertex: a disk with one boundary circle, nothing traced
-            boundary_parallel += 1
-        elif e == len(vs) - 1:
-            boundary_parallel += f  # tree: f is 1
-        else:
-            essential += f
-    return boundary_parallel, essential
+    trees = 0
+    for vs in rg.components():
+        if sum(len(rg.rotations[v]) for v in vs) == 2 * (len(vs) - 1):
+            trees += 1
+    bare = rg.rotations.count(())
+    return trees, len(rg.faces()) - (trees - bare)
 
 
 # ---------------------------------------------------------------------------

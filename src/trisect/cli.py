@@ -104,15 +104,12 @@ def _triple_arg(text: str) -> tuple:
 
 
 def _params_payload(p: TrisectionParams) -> dict:
-    out = {
+    return {
         "params": format_params(p) if p.k is not None else None,
         "genus": p.genus,
         "k": list(p.k) if p.k is not None else None,
         "boundary": p.boundary,
     }
-    if p.bridge is not None:
-        out["bridge"] = {"b": p.bridge.b, "c": list(p.bridge.c)}
-    return out
 
 
 def _params_lines(p: TrisectionParams) -> List[str]:

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -234,7 +235,8 @@ class TestPoke:
         assert out.genus == 1
 
     @pytest.mark.parametrize("counts", [(0.5, 0, 0), (True, 0, 0), (0, 1.0, 0), (0, 0, "1"), 5,
-                                        None, "123", {0: 1, 1: 1, 2: 1}])
+                                        None, "123", {0: 1, 1: 1, 2: 1}, (1, 1), (0, 0, 0, 0),
+                                        (0, -1, 0)])
     def test_non_integer_counts_refused(self, counts):
         with pytest.raises(DiagramError, match="^poke counts must be three ints >= 0$"):
             poke(self.base(), counts)
@@ -269,6 +271,62 @@ class TestCurveComplement:
     def test_unequal_rejected(self):
         with pytest.raises(CellDecompositionMismatch):
             curve_complement(parse_params("1;1,1,1"), (1, 2, 1))
+
+    def test_list_of_arcs_is_a_triple(self):
+        p = parse_params("1;1,1,1")
+        assert curve_complement(p, [1, 1, 1]) == curve_complement(p, (1, 1, 1))
+
+    @pytest.mark.parametrize("arcs", [5, None, "111", (0.5,) * 3, (True,) * 3, {1: 1}])
+    def test_non_integer_arcs_refused(self, arcs):
+        with pytest.raises(DiagramError) as info:
+            curve_complement(parse_params("1;1,1,1"), arcs)
+        assert str(info.value) == f"arc counts must be integers, got {arcs!r}"
+
+    @pytest.mark.parametrize("arcs", [(), (1, 1), [1, 1, 1, 1], (-1, -1, -1)])
+    def test_arcs_not_three_counts_refused(self, arcs):
+        with pytest.raises(CellDecompositionMismatch) as info:
+            curve_complement(parse_params("1;1,1,1"), arcs)
+        assert str(info.value) == "arc counts must be three ints >= 0"
+
+
+@st.composite
+def connected_ribbon_graphs(draw):
+    """Edge i joins darts 2i and 2i + 1 before the darts are relabelled
+    at random.  The first v - 1 edges form a spanning tree, the extra ones
+    join any two vertices (loops included), and each vertex orders its
+    darts at random.  With no extra edge it is a tree, possibly the bare
+    vertex."""
+    v = draw(st.integers(1, 6))
+    extra = draw(st.integers(0, 6))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, v)]
+    ends += [tuple(draw(st.lists(st.integers(0, v - 1), min_size=2, max_size=2)))
+             for _ in range(extra)]
+    label = draw(st.permutations(range(2 * len(ends))))
+    darts = [[] for _ in range(v)]
+    for i, (x, y) in enumerate(ends):
+        darts[x].append(label[2 * i])
+        darts[y].append(label[2 * i + 1])
+    rotations = tuple(tuple(draw(st.permutations(ds))) for ds in darts)
+    edges = tuple((label[2 * i], label[2 * i + 1]) for i in range(len(ends)))
+    return RibbonGraph(rotations, edges)
+
+
+def disjoint_union(parts, order):
+    """The parts side by side, darts shifted past those of the parts before;
+    order[v] is the vertex, numbered through the parts in turn, placed at
+    position v."""
+    rotations, edges = [], []
+    for shift, part in zip(accumulate((2 * g.edge_count for g in parts), initial=0), parts):
+        rotations += [tuple(d + shift for d in rot) for rot in part.rotations]
+        edges += [(a + shift, b + shift) for a, b in part.edges]
+    return RibbonGraph(tuple(rotations[v] for v in order), tuple(edges))
+
+
+@st.composite
+def disjoint_unions(draw):
+    parts = draw(st.lists(connected_ribbon_graphs(), min_size=1, max_size=4))
+    order = draw(st.permutations(range(sum(g.vertex_count for g in parts))))
+    return disjoint_union(parts, order)
 
 
 class TestRibbonGraph:
@@ -317,29 +375,54 @@ class TestRibbonGraph:
         genus = rg.genus_of_closure()
         assert v - e + f == 2 - 2 * genus
 
+    def test_closure_genus_needs_a_connected_graph(self):
+        rg = RibbonGraph(((0,), (1,), ()), ((0, 1),))
+        with pytest.raises(DiagramError, match="^genus of closure defined for connected graphs$"):
+            rg.genus_of_closure()
+
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_random_connected_rotation_systems(self, data):
-        """Edge i joins darts 2i and 2i + 1.  The first v - 1 edges form a
-        spanning tree, the rest join any two vertices (loops included),
-        and each vertex orders its darts at random."""
-        v = data.draw(st.integers(1, 6))
-        extra = data.draw(st.integers(0 if v > 1 else 1, 6))
-        ends = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, v)]
-        ends += [tuple(data.draw(st.lists(st.integers(0, v - 1), min_size=2, max_size=2)))
-                 for _ in range(extra)]
-        darts = [[] for _ in range(v)]
-        for i, (x, y) in enumerate(ends):
-            darts[x].append(2 * i)
-            darts[y].append(2 * i + 1)
-        rotations = tuple(tuple(data.draw(st.permutations(ds))) for ds in darts)
-        edges = tuple((2 * i, 2 * i + 1) for i in range(len(ends)))
-        rg = RibbonGraph(rotations, edges)
+    @given(connected_ribbon_graphs().filter(lambda rg: rg.edges))
+    def test_random_connected_rotation_systems(self, rg):
+        v, e, f = rg.vertex_count, rg.edge_count, len(rg.faces())
         assert len(rg.components()) == 1
-        e, f = len(edges), len(rg.faces())
         genus = rg.genus_of_closure()
         assert v - e + f == 2 - 2 * genus
         assert 0 <= genus <= (e - v + 1) // 2  # f >= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_unions())
+    def test_faces_are_the_orbits_of_successor_after_partner(self, rg):
+        partner = {a: b for a, b in rg.edges} | {b: a for a, b in rg.edges}
+        succ = {rot[i]: rot[(i + 1) % len(rot)] for rot in rg.rotations for i in range(len(rot))}
+        faces = rg.faces()
+        assert sorted(d for face in faces for d in face) == sorted(partner)  # a partition
+        assert [face[0] for face in faces] == sorted(min(face) for face in faces)
+        for face in faces:
+            assert all(face[(i + 1) % len(face)] == succ[partner[d]] for i, d in enumerate(face))
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_ribbon_graphs())
+    def test_shadow_counts_of_a_connected_graph(self, rg):
+        """A tree, the bare vertex included, thickens to one disk; every
+        face of any other connected graph is essential."""
+        if rg.edge_count == rg.vertex_count - 1:
+            assert shadow_boundary_curves(rg) == (1, 0)
+        else:
+            assert shadow_boundary_curves(rg) == (0, len(rg.faces()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_disjoint_union_adds_components_faces_and_shadow_counts(self, data):
+        parts = data.draw(st.lists(connected_ribbon_graphs(), min_size=1, max_size=4))
+        order = data.draw(st.permutations(range(sum(g.vertex_count for g in parts))))
+        rg = disjoint_union(parts, order)
+        firsts = accumulate((g.vertex_count for g in parts), initial=0)
+        expected = sorted(list(range(first, first + g.vertex_count))
+                          for first, g in zip(firsts, parts))
+        assert sorted(sorted(order[p] for p in vs) for vs in rg.components()) == expected
+        assert len(rg.faces()) == sum(len(g.faces()) for g in parts)
+        counts = [shadow_boundary_curves(g) for g in parts]
+        assert shadow_boundary_curves(rg) == tuple(map(sum, zip(*counts)))
 
 
 def block_product(blocks):

@@ -158,6 +158,26 @@ class TestExitCodes:
         assert one_error_line(err) and "no\\nsuch\\nfile" in err
 
 
+REFUSALS = [
+    (("paste", "1;0,0,0", "1;0,0,0", "--closed-page", "0", "--common", "1,2"),
+     "'1,2': need three comma-separated integers"),
+    (("paste", "1;0,0,0", "1;0,0,0", "--closed-page", "0", "--common", "1,x,2"),
+     "'1,x,2': entries must be integers"),
+    (("farey-atlas", "--max-den", "-1"), "max denominator must be >= 0"),
+    (("paste", "1;0,0,0", "1;0,0,0"), "give exactly one of --closed-page or --circles"),
+    (("paste", "1;0,0,0", "1;0,0,0", "--closed-page", "0", "--circles", "1"),
+     "give exactly one of --closed-page or --circles"),
+    (("complement", "1;1,1,1", "--arcs", "x"), "--arcs 'x': need an integer or triple"),
+    (("plan", "log", "1", "2", "3"), "plan log takes four matrix entries a11 a12 a21 a22"),
+    (("plan", "general", "1"), "plan general takes nine matrix entries, row by row"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_is_one_error_line(run, argv, message):
+    assert run(*argv) == (1, "", f"error: {message}\n")
+
+
 class TestVerbs:
     def test_validate_ok(self, run, cp2_path):
         code, out, _ = run("validate", cp2_path)

@@ -413,6 +413,15 @@ class TestStandardPair:
         assert validate_standard_pair(twice, "gamma_alpha") == [
             Violation("standard_pair", "alpha[0] meets gamma[0] 2 times, expected 0 or 1")]
 
+    def test_curve_reused_by_two_crossing_pairs(self):
+        e1, f1, e2, f2 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        geo = {("alpha", 0, "alpha", 1): 0, ("beta", 0, "beta", 1): 0,
+               ("alpha", 0, "beta", 0): 1, ("alpha", 0, "beta", 1): 1,
+               ("alpha", 1, "beta", 0): 0, ("alpha", 1, "beta", 1): 0}
+        d = standard_pair_diagram(2, (e1, e2), (f1, f2), (e2,), geo)
+        assert validate_standard_pair(d, "alpha_beta") == [
+            Violation("standard_pair", "curve reused by two crossing pairs (0,1)")]
+
     def test_unknown_pair_raises(self):
         d = standard_pair_diagram(1, ((1, 0),), ((0, 1),), ((1, 1),), {})
         with pytest.raises(DiagramError, match="^no system pair named 'alpha_gamma'$"):
@@ -489,6 +498,21 @@ class TestParseSerialize:
         with pytest.raises(DiagramError) as err:
             parse_diagram(json.dumps(obj))
         assert str(err.value) == "geo['alpha.0:beta.0']: duplicate pair after normalization"
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda obj: [], "top level: expected an object"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "genus"}, "missing field 'genus'"),
+        (lambda obj: {**obj, "alpha": 5}, "alpha: expected a list of class vectors"),
+        (lambda obj: {**obj, "alpha": [5]}, "alpha[0]: expected a list of integers"),
+        (lambda obj: {**obj, "geo": []}, "geo: expected an object"),
+        (lambda obj: {**obj, "geo": {"alpha0:beta.0": 1}},
+         'geo key \'alpha0:beta.0\': expected "system.index:system.index"'),
+    ], ids=["top level list", "no genus", "alpha int", "alpha [int]", "geo list", "geo key"])
+    def test_file_shape_refused(self, change, message):
+        with pytest.raises(DiagramError) as err:
+            parse_diagram(json.dumps(change(json.loads(cp2_text()))))
+        assert type(err.value) is DiagramError
+        assert str(err.value) == message
 
     def test_syntax_error_has_location(self):
         with pytest.raises(DiagramError, match="line"):

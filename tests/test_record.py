@@ -317,6 +317,30 @@ BAD = [
                  "common-curve counts must be three ints >= 0", id="common counts: two"),
     (lambda: PastingInput(P1, P1, ClosedPage(0), (1, 0, 0)), DiagramError,
      "common-curve counts apply only to boundary-circle pasting"),
+    pytest.param(lambda: RibbonGraph([(0, 1)], ((0, 1),)), DiagramError,
+                 "rotations must be a tuple of int tuples", id="ribbon rotations: list"),
+    pytest.param(lambda: RibbonGraph(None, ()), DiagramError,
+                 "rotations must be a tuple of int tuples", id="ribbon rotations: None"),
+    pytest.param(lambda: RibbonGraph((5,), ()), DiagramError,
+                 "rotations must be a tuple of int tuples", id="ribbon rotations: int entry"),
+    pytest.param(lambda: RibbonGraph(([0, 1],), ((0, 1),)), DiagramError,
+                 "rotations must be a tuple of int tuples", id="ribbon rotations: list entry"),
+    pytest.param(lambda: RibbonGraph(((True, 0),), ((0, 1),)), DiagramError,
+                 "rotations must be a tuple of int tuples", id="ribbon rotations: bool dart"),
+    pytest.param(lambda: RibbonGraph(((0.0, 1),), ((0, 1),)), DiagramError,
+                 "rotations must be a tuple of int tuples", id="ribbon rotations: float dart"),
+    pytest.param(lambda: RibbonGraph(((0, 1),), [(0, 1)]), DiagramError,
+                 "edges must be a tuple of int pairs", id="ribbon edges: list"),
+    pytest.param(lambda: RibbonGraph(((0, 1),), ([0, 1],)), DiagramError,
+                 "edges must be a tuple of int pairs", id="ribbon edges: list entry"),
+    pytest.param(lambda: RibbonGraph(((0, 1),), ((0,),)), DiagramError,
+                 "edges must be a tuple of int pairs", id="ribbon edges: one dart"),
+    pytest.param(lambda: RibbonGraph(((0, 1, 2),), ((0, 1, 2),)), DiagramError,
+                 "edges must be a tuple of int pairs", id="ribbon edges: three darts"),
+    pytest.param(lambda: RibbonGraph(((0, 1),), ((0, True),)), DiagramError,
+                 "edges must be a tuple of int pairs", id="ribbon edges: bool dart"),
+    pytest.param(lambda: RibbonGraph(((0, 1),), ((0, "1"),)), DiagramError,
+                 "edges must be a tuple of int pairs", id="ribbon edges: str dart"),
     (lambda: RibbonGraph(((0, 0),), ()), DiagramError, "dart 0 appears at two rotation slots"),
     (lambda: RibbonGraph(((0,),), ((0, 0),)), DiagramError,
      "edge (0,0) must join two distinct darts"),

@@ -103,6 +103,7 @@ class TestStateAndWords:
     def test_greek_and_ascii_input(self):
         assert initial_state("μλμ") == initial_state("MLM")
         assert initial_state("mlm") == initial_state("MLM")
+        assert initial_state("M L,M") == initial_state("MLM")  # spaces and commas are skipped
 
     def test_render(self):
         assert render_word("MLM") == "μλμ"

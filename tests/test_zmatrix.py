@@ -237,6 +237,15 @@ class TestFormInvariants:
         assert classify_unimodular(identity(3)) == FormClass("positive_diagonal", (3,))
         assert classify_unimodular(identity(4)) == FormClass("unclassified")
 
+    def test_e8_is_unclassified(self):
+        # even, definite and unimodular: no indefinite or diagonal class names it
+        e8 = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+        for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)]:
+            e8[i][j] = e8[j][i] = -1
+        inv = sym_form_invariants(e8)
+        assert (inv.rank, inv.signature, inv.parity, inv.det) == (8, 8, "Even", 1)
+        assert classify_unimodular(e8) == FormClass("unclassified")
+
     def test_zero_form(self):
         assert classify_unimodular([]) == FormClass("zero")
         inv = sym_form_invariants([])
