@@ -8,6 +8,7 @@ data keyed by curve pairs.
 """
 
 import math
+import struct
 from itertools import chain
 from operator import lshift, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -144,18 +145,41 @@ class Violation(Record):
 
 
 def _width(classes: Iterable[Sequence[int]]) -> int:
-    """The digit width w of a packing.  By Cauchy-Schwarz, as J (it swaps
-    and negates coordinate pairs) keeps lengths, |u . v| = |<u, Jv>| <= M,
-    the largest |u|^2 among the classes (at most 2g * top^2 for entries of
-    size top), so w = M.bit_length() + 1 keeps |u . v| < 2^(w-1)."""
+    """The least digit width w of a packing.  By Cauchy-Schwarz, as J (it
+    swaps and negates coordinate pairs) keeps lengths, |u . v| = |<u, Jv>|
+    <= M, the largest |u|^2 among the classes (at most 2g * top^2 for
+    entries of size top), so w = M.bit_length() + 1 keeps |u . v| <
+    2^(w-1).  Packings round it up to whole bytes, W = 8 * ceil(w / 8)."""
     return max((sum(map(mul, u, u)) for u in classes), default=0).bit_length() + 1
 
 
-def _pack(classes: Sequence[Sequence[int]], w: int, dim: int) -> List[int]:
-    """Column k of the classes v_j, each of length dim, as the one integer
-    P_k = sum_j v_j[k] * 2^(w*j)."""
-    shifts = range(0, w * len(classes), w)
-    return [sum(map(lshift, col, shifts)) for col in zip(*classes)] or [0] * dim
+def _pack(classes: Sequence[Sequence[int]], w: int, dim: int,
+          spans: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """For each span (i, j), column k of the classes v_i, ..., v_(j-1), each
+    of length dim, as the one integer P_k = sum_j' v_j'[k] * 2^(w*(j'-i)),
+    w a whole number of bytes whose fields hold every entry.  Up to 64
+    bits, struct writes all entries column by column into one buffer of
+    two's-complement fields, narrowed to w bits by strided copies; each
+    P_k is one int.from_bytes of its slice, and P - ((P & T) << 1), T the
+    top bit of each field (`_bias`), restores the signs.  Wider digits, or
+    no classes, take the shift-sum."""
+    n = len(classes)
+    if w > 64 or not n:
+        cols = list(zip(*classes)) or [()] * dim
+        return [[sum(map(lshift, col[i:j], range(0, w * n, w))) for col in cols] for i, j in spans]
+    size = w // 8
+    code = "bhiiqqqq"[size - 1]  # the narrowest struct field of at least w bits
+    buf = struct.pack(f"<{n * dim}{code}", *chain.from_iterable(zip(*classes)))
+    if size < (field := struct.calcsize(code)):
+        buf, wide = bytearray(n * dim * size), buf
+        for b in range(size):
+            buf[b::size] = wide[b::field]
+    step, top, from_bytes, out = n * size, _bias(w, n), int.from_bytes, []
+    for i, j in spans:
+        cols = [from_bytes(buf[s:s + (j - i) * size], "little")
+                for s in range(i * size, i * size + step * dim, step)]
+        out.append([p - ((p & top) << 1) for p in cols])
+    return out
 
 
 def _packed_rows(us: Iterable[Sequence[int]], packed: Sequence[int]) -> Iterator[int]:
@@ -221,9 +245,9 @@ def validate_cut_system(system: CurveSystem, lattice: SymplecticLattice) -> List
             raise VectorLength(
                 f"{system.label}[{idx}]: length {len(v)} != {lattice.dim}"
             )
-    w = _width(system.classes)
-    return _cut_violations(system, _pack(system.classes, w, lattice.dim), w,
-                           _bias(w, len(system)))[0]
+    w, k = (_width(system.classes) + 7) & -8, len(system)
+    return _cut_violations(system, _pack(system.classes, w, lattice.dim, [(0, k)])[0], w,
+                           _bias(w, k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +370,16 @@ def _violations(d: StarDiagram) -> Tuple[List[Violation], Dict[tuple, Dict[int, 
     class u, in file order, over every beta and gamma class v_j at its
     digit position j (len(alpha) on).  A repeated class is a repeated
     column of P, which leaves coker P as it is.  Every class of d takes one
-    digit width, and each system is packed once.  Each alpha class is read
-    against alpha + beta + gamma (its packing joined to the others by two
-    shift-adds per column): one packed sum gives its report and its row."""
+    digit width of whole bytes, and d is packed once (`_pack`), read per
+    column as alpha + beta + gamma joined, beta and gamma.  Each alpha
+    class is read against the joined packing: one sum gives its report
+    and its row."""
     alpha, beta, gamma = d.alpha.classes, d.beta.classes, d.gamma.classes
-    w = _width(chain(alpha, beta, gamma))
-    alpha_packed, beta_packed, gamma_packed = (_pack(c, w, 2 * d.genus) for c in (alpha, beta, gamma))
-    k, lo, hi = len(alpha), w * len(alpha), w * (len(alpha) + len(beta))
-    bias = _bias(w, len(alpha + beta + gamma))
-    joined = [a + (b << lo) + (c << hi) for a, b, c in zip(alpha_packed, beta_packed, gamma_packed)]
+    classes = alpha + beta + gamma
+    k, m, n = len(alpha), len(alpha + beta), len(classes)
+    w = (_width(classes) + 7) & -8
+    joined, beta_packed, gamma_packed = _pack(classes, w, 2 * d.genus, [(0, n), (k, m), (m, n)])
+    bias = _bias(w, n)
     out, rows = _cut_violations(d.alpha, joined, w, bias)
     out += _cut_violations(d.beta, beta_packed, w, bias)[0]
     out += _cut_violations(d.gamma, gamma_packed, w, bias)[0]

@@ -164,7 +164,7 @@ def qx(t: FareyTriple) -> IntMatrix:
         else:
             corner = b * d * xy
         return [[corner, -1], [-1, 0]]
-    raise FormUndefined(f"no intersection form for a {kind} triple")
+    raise FormUndefined(f"no intersection form for an {kind} triple")
 
 
 def classify(t: FareyTriple) -> FareyClassification:

@@ -115,6 +115,15 @@ class TestExitCodes:
         code, _, err = run("destab", "1;0,0,0", "--sector", "1")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("slopes,kind", [
+        (("1/1", "1/1", "1/1"), "AllEqual"),
+        (("0/1", "1/3", "1/0"), "Invalid"),
+    ])
+    @pytest.mark.parametrize("flags", [("--qx",), ("--qx", "--json")])
+    def test_qx_without_a_form_is_2(self, run, slopes, kind, flags):
+        assert run("farey-classify", *slopes, *flags) == (
+            2, "", f"error: no intersection form for an {kind} triple\n")
+
     def test_non_sl3_plan_is_2(self, run):
         code, _, _ = run("plan", "general", "2", "0", "0", "0", "1", "0", "0", "0", "1")
         assert code == 2

@@ -212,11 +212,66 @@ class TestPackedPairings:
         assert _width(system.classes) == (2 * genus * top * top).bit_length() + 1
 
 
+def packed_by_definition(classes, w, dim, spans):
+    """Each span's columns as their definition, one shift per entry."""
+    return [[sum(v[k] << (w * t) for t, v in enumerate(classes[i:j])) for k in range(dim)]
+            for i, j in spans]
+
+
+# whole-byte widths: struct's 1-, 2-, 4- and 8-byte fields, the narrowed widths between
+# them, and two past 64 bits, where the shift-sum packs
+PACK_WIDTHS = (*range(8, 65, 8), 72, 128)
+
+
+@st.composite
+def packings(draw):
+    """(classes, w, dim, spans): genus 0-4, 0-6 classes whose entries are
+    any w-bit two's-complement values, with the field's edges, 0 and -1
+    drawn often, some classes zero or all negative, and 0-3 spans of
+    digit positions, empty ones included."""
+    w = draw(st.sampled_from(PACK_WIDTHS))
+    lo, hi = -1 << (w - 1), (1 << (w - 1)) - 1
+    entries = st.one_of(st.sampled_from((0, -1, 1, lo, lo + 1, hi - 1, hi)), st.integers(lo, hi))
+    dim = 2 * draw(st.integers(0, 4))
+    vectors = st.lists(entries, min_size=dim, max_size=dim).map(tuple)
+    special = st.sampled_from(((0,) * dim, (-1,) * dim, (lo,) * dim, (hi,) * dim))
+    classes = tuple(draw(st.lists(st.one_of(vectors, special), max_size=6)))
+    cut = st.integers(0, len(classes))
+    spans = draw(st.lists(st.tuples(cut, cut).map(sorted).map(tuple), max_size=3))
+    return classes, w, dim, spans
+
+
+class TestPack:
+    """_pack against its definition, sum_j v_j[k] * 2^(w*j) per column and
+    span, at every whole-byte width the byte buffer takes and past it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(packings())
+    def test_matches_definition(self, case):
+        assert _pack(*case) == packed_by_definition(*case)
+
+    @pytest.mark.parametrize("w", PACK_WIDTHS)
+    @pytest.mark.parametrize("classes,dim", [
+        ((), 4),                                # no classes: dim zero columns
+        (((),) * 3, 0),                         # genus 0: no columns
+        (((0, 0),) * 4, 2),                     # zero columns
+        (((-1, -2), (-3, -1), (-1, -1)), 2),    # negative columns
+        (((0, -1), (0, 0), (0, -1), (0, 0)), 2),  # a zero and a negative column
+    ])
+    def test_edge_shapes(self, w, classes, dim):
+        lo, hi = -1 << (w - 1), (1 << (w - 1)) - 1
+        n = len(classes)
+        spans = [(0, n), (0, 0), (n, n), (1 % (n + 1), n), (0, n // 2)]
+        edges = tuple(tuple(lo if x < -1 else x for x in v) for v in classes)
+        for case in (classes, edges, tuple(tuple(hi for _ in v) for v in classes)):
+            assert _pack(case, w, dim, spans) == packed_by_definition(case, w, dim, spans)
+
+
 class TestPairingRows:
-    """_packed_rows of us against a packing of vs, each row read by
-    _nonzero_digits, against one pairing per pair: every nonzero pairing at
-    its digit position and no other, with the two sides drawn from
-    different entry kinds, so digits of every width are read."""
+    """_packed_rows of us against a packing of vs at the whole-byte width,
+    each row read by _nonzero_digits, against one pairing per pair: every
+    nonzero pairing at its digit position and no other, with the two sides
+    drawn from different entry kinds, so digits of every width are read."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 4), st.sampled_from(ENTRY_KINDS), st.sampled_from(ENTRY_KINDS),
@@ -226,8 +281,8 @@ class TestPairingRows:
         us, vs = (data.draw(st.lists(st.lists(entries, min_size=2 * genus, max_size=2 * genus)
                                      .map(tuple), max_size=5))
                   for entries in (u_entries, v_entries))
-        w = _width(chain(us, vs))
-        rows = list(_packed_rows(us, _pack(vs, w, lattice.dim)))
+        w = (_width(chain(us, vs)) + 7) & -8
+        rows = list(_packed_rows(us, _pack(vs, w, lattice.dim, [(0, len(vs))])[0]))
         assert len(rows) == len(us)
         for u, row in zip(us, rows):
             want = [lattice.pair(u, v) for v in vs]

@@ -427,16 +427,20 @@ class TestAlphaQuotient:
     def test_each_system_is_packed_once(self, monkeypatch):
         calls = []
 
-        def record(classes, w, dim):
-            calls.append(classes)
-            return pack(classes, w, dim)
+        def record(classes, w, dim, spans):
+            calls.append((classes, spans))
+            return pack(classes, w, dim, spans)
 
         pack = diagram._pack
         monkeypatch.setattr(diagram, "_pack", record)
         d = block_sum(TRIPLES[:4], random_mixes(random.Random(3), 12, 24))
         first_homology(d)
-        # alpha, beta and gamma once each, for the violations and for P alike
-        assert calls == [d.alpha.classes, d.beta.classes, d.gamma.classes]
+        # one buffer of alpha, beta and gamma, each once, read as three
+        # spans for the violations and for P alike: all three joined, beta, gamma
+        k, m = len(d.alpha), len(d.alpha) + len(d.beta)
+        n = m + len(d.gamma)
+        assert calls == [(d.alpha.classes + d.beta.classes + d.gamma.classes,
+                          [(0, n), (k, m), (m, n)])]
 
 
 @st.composite
