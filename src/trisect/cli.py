@@ -311,15 +311,14 @@ def _cmd_plan(args) -> int:
         if args.m is not None or args.n is not None or len(entries) != 9:
             raise DiagramError("plan general takes nine matrix entries, row by row")
         plan = surgery_plan_general([entries[0:3], entries[3:6], entries[6:9]])
-    text = serialize_plan(plan)
-    blocks = [
-        {"kind": b.kind, "shear": [list(r) for r in b.shear] if b.shear else None}
-        for b in plan.blocks
-    ]
-    _emit(args, text.splitlines(), {
-        "blocks": blocks,
-        "composite": plan.composite,
-    })
+    # each mode builds only what it prints, so reads the composite once
+    if args.json:
+        _emit(args, [], {
+            "blocks": [{"kind": b.kind, "shear": b.shear} for b in plan.blocks],
+            "composite": plan.composite,
+        })
+    else:
+        _emit(args, serialize_plan(plan).splitlines(), None)
     return 0
 
 
@@ -331,20 +330,22 @@ def _cmd_slide(args) -> int:
     fn = slides.reduce_mu if args.mode == "reduce-mu" else slides.reduce_full
     final, trace = fn(state)
     trace_out = slides.trace_lines(state, trace) if args.trace else []
-    lines = trace_out + [slides.format_state(final), f"moves: {len(trace)}"]
-    payload = {
-        "final": {
-            "w1": slides.render_word(final.w1),
-            "w2": slides.render_word(final.w2),
-            "w3": slides.render_word(final.w3),
-            "t3": final.t3,
-            "t1": final.t1,
-        },
-        "moves": [str(mv) for mv in trace],
-    }
-    if args.trace:
-        payload["trace"] = trace_out
-    _emit(args, lines, payload)
+    if args.json:
+        payload = {
+            "final": {
+                "w1": slides.render_word(final.w1),
+                "w2": slides.render_word(final.w2),
+                "w3": slides.render_word(final.w3),
+                "t3": final.t3,
+                "t1": final.t1,
+            },
+            "moves": [str(mv) for mv in trace],
+        }
+        if args.trace:
+            payload["trace"] = trace_out
+        _emit(args, [], payload)
+    else:  # no move is named but in the trace lines
+        _emit(args, trace_out + [slides.format_state(final), f"moves: {len(trace)}"], None)
     return 0
 
 

@@ -17,9 +17,10 @@ _step is the checked move engine: it holds every domain check and
 IllegalMove message and works on the five plain fields (w1, w2, w3, t3,
 t1).  replay and trace_lines run every move through it without building a
 SlideState per move.  apply_move wraps one _step in SlideState._trusted,
-which skips SlideState's alphabet scan: a move only cuts, joins and reorders
-letters of words that were checked when the input state was built.  The
-public SlideState(...) always scans.
+which skips SlideState's checks: a move only cuts, joins and reorders
+letters of words that were checked when the input state was built, and
+counts up integer counters.  The public SlideState(...) always checks its
+words, its two int counters and its target, a pair of ints >= 0.
 
 Internally letters are "M" and "L"; input accepts the Greek forms too,
 and rendering emits them.
@@ -28,7 +29,7 @@ and rendering emits them.
 from typing import List, Optional, Tuple
 
 from ._record import Record
-from .errors import IllegalMove, MalformedWord, NotApplicable
+from .errors import DiagramError, IllegalMove, MalformedWord, NotApplicable
 
 MU = "M"
 LAM = "L"
@@ -76,6 +77,11 @@ class SlideState(Record):
         for w in (w1, w2, w3):
             if not _in_alphabet(w):
                 raise MalformedWord(f"word {w!r} contains letters outside the alphabet")
+        if type(t3) is not int or type(t1) is not int:  # bool, a subclass of int, too
+            raise DiagramError(f"twist counters must be integers, got t3={t3!r} t1={t1!r}")
+        if not (type(target) is tuple and len(target) == 2
+                and all(type(x) is int and x >= 0 for x in target)):
+            raise DiagramError(f"target must be a pair of ints >= 0, got {target!r}")
         self._store(w1, w2, w3, t3, t1, target)
 
     def counts(self) -> Tuple[int, int]:
@@ -104,14 +110,6 @@ def lambda_conserved(s: SlideState) -> bool:
 # moves
 # ---------------------------------------------------------------------------
 
-MOVE_KINDS = (
-    "ExtendB1",
-    "CommuteLambdaMu",
-    "SlideA1OverAlpha",
-    "ShrinkA2",
-    "SlideA2OverBeta",
-)
-
 _ANCHORS = {
     "ExtendB1": "push the junction b1 backwards along a3, absorbing a prefix of w3 into w2",
     "CommuteLambdaMu": "slide a lambda crossing past the mu crossing just after it in w2",
@@ -120,6 +118,7 @@ _ANCHORS = {
     "SlideA2OverBeta": "slide a2 across the beta curve, trading one lambda for a twist around b1; "
     "the last lambda is absorbed by the closing isotopy",
 }
+MOVE_KINDS = tuple(_ANCHORS)
 
 
 class SlideMove(Record):

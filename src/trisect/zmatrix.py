@@ -114,7 +114,9 @@ def _bareiss_step(a: IntMatrix, t: int, prev: int) -> int:
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free Bareiss elimination with row swaps."""
+    """Exact determinant via fraction-free Bareiss elimination with row swaps;
+    raises ValueError unless m is a square matrix of ints."""
+    check_int_matrix(m)
     n, c = dims(m)
     if n != c:
         raise ValueError(f"determinant of non-square {n}x{c} matrix")
@@ -132,6 +134,7 @@ def determinant(m: Sequence[Sequence[int]]) -> int:
 
 
 def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
+    check_int_matrix(m)  # a non-square matrix, too, must be one of ints
     r, c = dims(m)
     return r == c and determinant(m) in (1, -1)
 
@@ -502,11 +505,12 @@ def _row_add_word(i: int, j: int, k: int) -> Tuple[Gen, ...]:
 
 
 def sl3_factor(m: Sequence[Sequence[int]]) -> SL3Word:
-    """Factor a determinant-1 integer 3x3 matrix into the word alphabet.
-
-    Raises NotSL3 for anything that is not a 3x3 integer matrix of
-    determinant exactly 1.  The returned word multiplies back to m.
-    """
+    """Factor a determinant-1 integer 3x3 matrix into the word alphabet;
+    raise NotSL3 for anything else.  Row steps take a copy of m to I, each
+    appending the word of its inverse, so the word multiplies back to m.
+    One loop over columns 0 and 1 runs the Euclid pass over rows col..2 down
+    to one entry, +-1; two row additions move it to row col as +1, or sigma^2
+    (s12i s12i, s23i s23i) negates rows col and col + 1 to fix its sign."""
     try:
         check_int_matrix(m)
     except ValueError as e:
@@ -516,49 +520,27 @@ def sl3_factor(m: Sequence[Sequence[int]]) -> SL3Word:
     det = determinant(m)
     if det != 1:
         raise NotSL3(f"determinant is {det}, need 1")
-
-    # Row steps E_1 .. E_n take a from m to I, so m = E_1^-1 ... E_n^-1:
-    # each step appends the word of its own inverse.
     a = mat_copy(m)
     word: List[Gen] = []
 
     def row_add(i, j, k):
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
         word.extend(_row_add_word(i, j, -k))
-
-    def negate(i, j, inv):
-        # sigma^2 negates rows i and j; its inverse is inv inv
-        a[i] = [-x for x in a[i]]
-        a[j] = [-x for x in a[j]]
-        word.extend((inv, inv))
-
-    def reduce_column(col: int, rows: List[int]):
-        # Euclidean reduction of a[r][col] for r in rows down to one entry
-        while True:
-            nz = [r for r in rows if a[r][col] != 0]
-            if len(nz) == 1:  # det 1: the column is never all zero
-                return nz[0]
+    for col, inv in ((0, _S12I), (1, _S23I)):
+        nz = [r for r in range(col, 3) if a[r][col]]
+        while len(nz) > 1:
             piv = min(nz, key=lambda r: abs(a[r][col]))
             for r in nz:
                 if r != piv:
                     row_add(r, piv, -(a[r][col] // a[piv][col]))
-
-    # column 0 over all three rows (det 1 leaves one entry, +-1)
-    lone = reduce_column(0, [0, 1, 2])
-    if lone != 0:
-        row_add(0, lone, a[lone][0])  # a[0][0] becomes +1
-        row_add(lone, 0, -a[lone][0])
-    elif a[0][0] < 0:
-        negate(0, 1, _S12I)
-    # column 1 over rows 1, 2
-    lone = reduce_column(1, [1, 2])
-    if lone == 2:
-        row_add(1, 2, a[2][1])
-        row_add(2, 1, -a[2][1])
-    elif a[1][1] < 0:
-        negate(1, 2, _S23I)
-    # a is now upper triangular with diagonal (1, 1, 1); clear the tail
-    row_add(1, 2, -a[1][2])
-    row_add(0, 2, -a[0][2])
-    row_add(0, 1, -a[0][1])
+            nz = [r for r in nz if a[r][col]]  # a zero row stays zero
+        lone = nz[0]
+        if lone != col:
+            row_add(col, lone, a[lone][col])  # a[col][col] becomes +1
+            row_add(lone, col, -a[lone][col])
+        elif a[col][col] < 0:
+            a[col:col + 2] = [[-x for x in row] for row in a[col:col + 2]]
+            word += (inv, inv)
+    for i, j in ((1, 2), (0, 2), (0, 1)):  # clear the unitriangular rest
+        row_add(i, j, -a[i][j])
     return SL3Word(tuple(word))

@@ -342,6 +342,54 @@ class TestPlanOptionsAnywhere:
         assert one_error_line(err) and "--m and --n only" in err
 
 
+# `trisect plan general 0 1 0 -1 0 0 0 0 1 --json`, pinned as printed
+PLAN_SWAP_DOC = {
+    "blocks": [{"kind": "complement", "shear": None}, {"kind": "tau0", "shear": None}]
+    + [{"kind": "shear", "shear": s} for s in (
+        [[1, 1], [0, 1]], [[0, -1], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [-1, 0]],
+        [[1, 1], [0, 1]])]
+    + [{"kind": "tauempty", "shear": None}],
+    "composite": [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],
+}
+
+
+class TestBuildsOnlyWhatItPrints:
+    """Each output mode of plan and slide computes only what it prints."""
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("luttinger", "--m", "3", "--n", "-2"),
+        ("log", "--", *PLAN_ENTRIES["log"]),
+        ("general", "--", "0", "1", "0", "-1", "0", "0", "0", "0", "1"),
+    ], ids=["luttinger", "log", "general"])
+    def test_plan_reads_the_composite_once(self, run, monkeypatch, argv, as_json):
+        from trisect.calculus import SurgeryPlan
+        reads = []
+        product = SurgeryPlan.composite.fget
+        monkeypatch.setattr(SurgeryPlan, "composite",
+                            property(lambda plan: reads.append(1) or product(plan)))
+        code, _, _ = run("plan", *(("--json",) if as_json else ()), *argv)
+        assert (code, len(reads)) == (0, 1)
+
+    def test_plan_json_payload(self, run):
+        code, out, _ = run("plan", "general", "--json", "--", "0", "1", "0", "-1", "0", "0",
+                           "0", "0", "1")
+        assert code == 0
+        assert out == json.dumps(PLAN_SWAP_DOC, indent=1) + "\n"
+
+    @pytest.mark.parametrize("mode,expect", [
+        ("reduce-mu", "w1= w2= w3=λλ t3=3 t1=0\nmoves: 10\n"),
+        ("reduce-full", "w1= w2= w3= t3=3 t1=1\nmoves: 13\n"),
+    ], ids=["reduce-mu", "reduce-full"])
+    def test_slide_text_names_no_move(self, run, monkeypatch, mode, expect):
+        from trisect.slides import SlideMove
+
+        def unnamed(mv):
+            raise AssertionError(f"text mode named the move {mv.kind}")
+        monkeypatch.setattr(SlideMove, "__str__", unnamed)
+        assert run("slide", mode, "--w3", "MMLML") == (0, expect, "")
+
+
 class TestJson:
     def test_round_trip_farey(self, run):
         code, out, _ = run("farey-classify", "1/1", "1/2", "2/3", "--qx", "--json")

@@ -365,6 +365,22 @@ BAD = [
      "word 'MX' contains letters outside the alphabet"),
     (lambda: SlideState("", "", "μ", 0, 0, (1, 0)), MalformedWord,
      "word 'μ' contains letters outside the alphabet"),
+    (lambda: SlideState("", "", "ML", 1.0, 0, (1, 1)), DiagramError,
+     "twist counters must be integers, got t3=1.0 t1=0"),
+    (lambda: SlideState("", "", "ML", 0, True, (1, 1)), DiagramError,
+     "twist counters must be integers, got t3=0 t1=True"),
+    (lambda: SlideState("", "", "ML", 0, 0, (1.0, 1)), DiagramError,
+     "target must be a pair of ints >= 0, got (1.0, 1)"),
+    (lambda: SlideState("", "", "ML", 0, 0, None), DiagramError,
+     "target must be a pair of ints >= 0, got None"),
+    (lambda: SlideState("", "", "ML", 0, 0, (1, True)), DiagramError,
+     "target must be a pair of ints >= 0, got (1, True)"),
+    (lambda: SlideState("", "", "ML", 0, 0, (1, -1)), DiagramError,
+     "target must be a pair of ints >= 0, got (1, -1)"),
+    (lambda: SlideState("", "", "ML", 0, 0, (1, 1, 0)), DiagramError,
+     "target must be a pair of ints >= 0, got (1, 1, 0)"),
+    (lambda: SlideState("", "", "ML", 0, 0, [1, 1]), DiagramError,
+     "target must be a pair of ints >= 0, got [1, 1]"),
     (lambda: SlideMove("Hop"), IllegalMove, "unknown move kind 'Hop'"),
     (lambda: SlideMove("ExtendB1"), IllegalMove, "move ExtendB1 argument mismatch"),
     (lambda: SlideMove("ShrinkA2", 1), IllegalMove, "move ShrinkA2 argument mismatch"),

@@ -1,5 +1,6 @@
 """Tests for exact integer linear algebra."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -193,6 +194,20 @@ class TestDeterminant:
         assert determinant([]) == 1
         assert determinant([[7]]) == 7
 
+    @pytest.mark.parametrize("m,message", [
+        ([[0.5, 0], [0, 2]], "matrix[0][0]: not an integer: 0.5"),
+        ([[True]], "matrix[0][0]: not an integer: True"),
+        ([[1, 0], [0]], "matrix[1]: ragged row (len 1 != 2)"),
+        ([1, 0], "matrix[0]: expected a row (list of ints)"),
+        ([[1, 0.5]], "matrix[0][1]: not an integer: 0.5"),  # not square, too
+    ])
+    def test_only_integer_matrices(self, m, message):
+        # both check m as every kernel does
+        for fn in (determinant, is_unimodular):
+            with pytest.raises(ValueError) as info:
+                fn(m)
+            assert str(info.value) == message
+
     def test_against_expansion(self):
         rng = random.Random(5)
 
@@ -303,6 +318,20 @@ class TestFormBareiss:
         assert out.stdout.strip() == "False"
 
 
+def seeded_sl3(rng, bits):
+    """An SL3 matrix with an entry of >= bits bits, from elementary row steps."""
+    m = identity(3)
+    while max(abs(x) for row in m for x in row).bit_length() < bits:
+        i, j = rng.sample(range(3), 2)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def spell(word):
+    return " ".join(g.kind if g.kind != "e" else f"e{g.k}" for g in word.factors)
+
+
 def check_word(m, word):
     """An SL3 word for m by definition: its product is m, within the
     documented length bounds."""
@@ -368,26 +397,57 @@ class TestSL3:
     @example(8, 0, (0, 1))  # takes the row 0, 1 sign fix
     @example(8, 0, (1, 2))  # takes the row 1, 2 sign fix
     def test_row_operations_match_matrix_products(self, bits, seed, negated):
-        # an SL3 matrix with an entry of >= bits bits, from elementary row steps
-        rng = random.Random(seed)
-        m = identity(3)
-        while max(abs(x) for row in m for x in row).bit_length() < bits:
-            i, j = rng.sample(range(3), 2)
-            k = rng.choice((-3, -2, -1, 1, 2, 3))
-            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        m = seeded_sl3(random.Random(seed), bits)
         for i in negated:
             m[i] = [-x for x in m[i]]
         check_word(m, sl3_factor(m))
 
+    @pytest.mark.parametrize("m,word", [
+        ([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], "s12i s12i"),  # sign fix at column 0
+        ([[1, 0, 0], [0, -1, 0], [0, 0, -1]], "s23i s23i"),  # sign fix at column 1
+        ([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], "e1 s12 e1 s12i e1"),  # +-1 moved to row 0
+        ([[0, 0, 1], [1, 0, 0], [0, 1, 0]],  # moved to row 0, then to row 1
+         "e-1 s12 e-1 s12i s12 s23 e-1 s23i s12i s31 e-1 s31i s12 s23 e-1 s23i s12i s23 e1 s23i"),
+    ])
+    def test_pinned_words(self, m, word):
+        assert spell(sl3_factor(m)) == word
+
+    def test_pinned_seeded_words(self):
+        # 20 seeded matrices of 1 to 20 bits, every fourth one as is and the
+        # others with rows 0, 1 or rows 1, 2 negated, or rows 0, 2 swapped
+        # with one sign flipped; any change to the factoring's steps or their
+        # order changes these words
+        rng = random.Random(30)
+        words = []
+        for t in range(20):
+            m = seeded_sl3(rng, 1 + t)
+            if t % 4 == 1:
+                m[0], m[1] = [-x for x in m[0]], [-x for x in m[1]]
+            elif t % 4 == 2:
+                m[1], m[2] = [-x for x in m[1]], [-x for x in m[2]]
+            elif t % 4 == 3:
+                m[0], m[2] = m[2], [-x for x in m[0]]
+            words.append(spell(sl3_factor(m)))
+        assert [len(w.split()) for w in words] == [
+            0, 5, 11, 36, 24, 47, 40, 50, 68, 40, 69, 54, 57, 71, 66, 79, 101, 86, 98, 113]
+        assert hashlib.sha256("\n".join(words).encode()).hexdigest() == (
+            "c1cf889505297af792589ec8735e4a4016a27d235873b7175d5d29073ab2713a")
+
     def test_rejects_non_sl3(self):
-        with pytest.raises(NotSL3):
-            sl3_factor([[1, 0], [0, 1]])
-        with pytest.raises(NotSL3):
-            sl3_factor([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-        with pytest.raises(NotSL3):
-            sl3_factor([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # det -1
-        with pytest.raises(NotSL3):
-            sl3_factor([[1, 0, 0], [0, 1, 0], [0, 0.5, 1]])
+        for m, message in [
+            ([[1, 0], [0, 1]], "need a 3x3 matrix, got 2x2"),
+            ([[1, 0, 0], [0, 1, 0]], "need a 3x3 matrix, got 2x3"),
+            ([], "need a 3x3 matrix, got 0x0"),
+            ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], "determinant is 2, need 1"),
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], "determinant is -1, need 1"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0.5, 1]], "matrix[2][1]: not an integer: 0.5"),
+            ([[True, 0, 0], [0, 1, 0], [0, 0, 1]], "matrix[0][0]: not an integer: True"),
+            ([[1, 0, 0], [0, 1], [0, 0, 1]], "matrix[1]: ragged row (len 2 != 3)"),
+            ("abc", "matrix: expected a list of rows"),
+        ]:
+            with pytest.raises(NotSL3) as info:
+                sl3_factor(m)
+            assert str(info.value) == message
 
 
 def _conjugator_search():
